@@ -32,7 +32,6 @@ import json
 import os
 import sys
 import tempfile
-import threading
 import time
 
 sys.path.insert(0, "src")
@@ -40,12 +39,13 @@ sys.path.insert(0, "src")
 from repro.batch.runner import run_batch  # noqa: E402
 from repro.batch.scenarios import generate_scenario, write_scenario  # noqa: E402
 from repro.batch.tasks import canonical_json, make_hom_count_task  # noqa: E402
+from repro.errors import ReproError  # noqa: E402
 from repro.faults import (  # noqa: E402
     FaultPlan,
     clear_fault_plan,
     install_fault_plan,
 )
-from repro.service import DaemonClient, SolverService, serve_socket  # noqa: E402
+from repro.service import AsyncDaemonHandle, DaemonClient  # noqa: E402
 from repro.structures.generators import clique_structure  # noqa: E402
 
 CHAOS_SEED = 29
@@ -112,16 +112,12 @@ def check_batch_under_faults(workdir: str) -> None:
 
 
 def check_daemon_under_faults() -> None:
-    service = SolverService(workers=2, request_deadline_ms=5000.0)
-    ready = threading.Event()
-    bound: list = []
-    server = threading.Thread(
-        target=serve_socket, args=(service,),
-        kwargs={"port": 0, "ready": ready, "bound": bound}, daemon=True)
-    server.start()
-    if not ready.wait(10):
-        fail("daemon did not come up")
-    host, port = bound[0]
+    handle = AsyncDaemonHandle(workers=2, request_deadline_ms=5000.0)
+    try:
+        handle.start()
+    except ReproError as exc:
+        fail(f"daemon did not come up: {exc}")
+    host, port = handle.address
 
     # Two injected connection refusals, absorbed by retry/backoff.
     install_fault_plan(FaultPlan({"seed": CHAOS_SEED,
@@ -161,8 +157,8 @@ def check_daemon_under_faults() -> None:
         fail(f"service.request.budget_exceeded miscounted: {stats}")
 
     client.shutdown()
-    server.join(10)
-    service.close()
+    client.close()
+    handle.stop()
     print(f"chaos check: daemon OK — 2 connect flaps absorbed, "
           f"budget-exceeded in {elapsed_ms:.0f}ms, follow-up clean")
 

@@ -32,12 +32,11 @@ daemon — with verbs underneath (the ``kubectl``-style noun/verb idiom):
 ``cache warm-pack`` export the most recently recorded answers as a
                   compact pack that ``serve start --preload-pack``
                   ships into a cold replica.
-``serve start``   resident mode: a long-running daemon answering the
-                  batch task codec over stdio (default) or TCP, one
-                  warm solver session shared across every request.
-                  ``--async`` runs the asyncio front end instead:
-                  per-tenant sessions, priorities, backpressure, and
-                  an optional ``--http-port`` HTTP/WebSocket facade.
+``serve start``   resident mode: a long-running asyncio daemon
+                  answering the batch task codec over stdio (default)
+                  or TCP — warm per-tenant sessions, priorities,
+                  backpressure, and an optional ``--http-port``
+                  HTTP/WebSocket facade.
 ``serve ping``    liveness probe against a running TCP daemon.
 ``serve stats``   legacy nested statistics from a running daemon.
 ``serve metrics`` full namespaced metrics snapshot (``--prometheus``
@@ -383,10 +382,17 @@ def _cmd_cache_warm_pack(args: argparse.Namespace) -> int:
 # serve (daemon + management client)
 # ----------------------------------------------------------------------
 def _cmd_serve_start(args: argparse.Namespace) -> int:
+    """The daemon: stdio by default, TCP (plus the optional
+    HTTP/WebSocket facade) with ``--port``."""
+    import asyncio
     import signal
 
     from repro.obs import StructuredLogger
-    from repro.service import SolverService, serve_socket, serve_stdio
+    from repro.service import (
+        AsyncSolverService,
+        serve_async_stdio,
+        serve_async_tcp,
+    )
 
     if args.cache is None and (args.shards is not None
                                or args.memory_tier is not None
@@ -395,59 +401,6 @@ def _cmd_serve_start(args: argparse.Namespace) -> int:
             "--shards/--memory-tier/--preload-pack require --cache")
     logger = None if args.no_request_log else \
         StructuredLogger(component="repro.serve")
-    if args.use_async:
-        return _serve_start_async(args, logger)
-    if args.http_port is not None:
-        raise ReproError("--http-port requires --async (the HTTP/"
-                         "WebSocket facade rides the async front end)")
-    service = SolverService(workers=args.workers, store_path=args.cache,
-                            shards=args.shards,
-                            memory_tier=args.memory_tier,
-                            preload_pack=args.preload_pack,
-                            strategy=args.strategy, preload=args.preload,
-                            logger=logger,
-                            request_deadline_ms=args.request_deadline_ms)
-
-    def _graceful(signum, frame):  # noqa: ARG001 — signal signature
-        service.request_shutdown()
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, _graceful)
-    try:
-        with service:
-            if args.port is not None:
-                print(f"repro serve: listening on {args.host}:{args.port} "
-                      f"({args.workers} workers)", file=sys.stderr)
-                serve_socket(service, host=args.host, port=args.port)
-            else:
-                serve_stdio(service)
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        report = service.stats()
-        engine = report["session"]["engine"]  # type: ignore[index]
-        svc = report["service"]  # type: ignore[index]
-        print(
-            f"repro serve: {svc['requests']} requests "
-            f"({svc['errors']} errors) in {svc['uptime_s']}s; "
-            f"memo hits {engine['hits']}+{engine['exists_hits']}, "
-            f"misses {engine['misses']}+{engine['exists_misses']}",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def _serve_start_async(args: argparse.Namespace, logger) -> int:
-    """The ``serve start --async`` path: asyncio front end, per-tenant
-    sessions, priorities/backpressure, optional HTTP/WebSocket port."""
-    import asyncio
-    import signal
-
-    from repro.service import (
-        AsyncSolverService,
-        serve_async_stdio,
-        serve_async_tcp,
-    )
-
     service = AsyncSolverService(
         workers=args.workers, max_queue=args.max_queue,
         store_path=args.cache, shards=args.shards,
@@ -459,30 +412,26 @@ def _serve_start_async(args: argparse.Namespace, logger) -> int:
     def _graceful(signum, frame):  # noqa: ARG001 — signal signature
         service.request_drain()
 
-    async def _tcp() -> None:
+    async def _serve() -> None:
         try:
-            await serve_async_tcp(service, host=args.host, port=args.port,
-                                  http_port=args.http_port)
+            if args.port is None:
+                await serve_async_stdio(service)
+            else:
+                await serve_async_tcp(service, host=args.host,
+                                      port=args.port,
+                                      http_port=args.http_port)
         finally:
             await service.aclose()
 
-    async def _stdio() -> None:
-        try:
-            await serve_async_stdio(service)
-        finally:
-            await service.aclose()
-
+    if args.port is not None:
+        facade = (f" + http :{args.http_port}"
+                  if args.http_port is not None else "")
+        print(f"repro serve: async listening on "
+              f"{args.host}:{args.port}{facade} "
+              f"({args.workers} workers)", file=sys.stderr)
     previous = signal.signal(signal.SIGTERM, _graceful)
     try:
-        if args.port is not None:
-            facade = (f" + http :{args.http_port}"
-                      if args.http_port is not None else "")
-            print(f"repro serve: async listening on "
-                  f"{args.host}:{args.port}{facade} "
-                  f"({args.workers} workers)", file=sys.stderr)
-            asyncio.run(_tcp())
-        else:
-            asyncio.run(_stdio())
+        asyncio.run(_serve())
     except KeyboardInterrupt:
         pass
     finally:
@@ -801,24 +750,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "structured budget-exceeded error instead of "
                             "stalling the pool (requests may still set "
                             "their own deadline_ms)")
-    start.add_argument("--async", dest="use_async", action="store_true",
-                       help="run the asyncio front end: persistent-"
-                            "connection multiplexing, per-tenant "
-                            "sessions with quotas, request priorities, "
-                            "admission-control backpressure (DESIGN.md "
-                            "§16); same line protocol, byte-identical "
-                            "responses")
     start.add_argument("--http-port", type=int, default=None, metavar="N",
-                       help="with --async: also serve the HTTP/WebSocket "
+                       help="also serve the HTTP/WebSocket "
                             "facade (GET /healthz, GET /metrics, POST "
                             "/task, GET /ws) on port N")
     start.add_argument("--max-queue", type=int, default=256, metavar="N",
-                       help="with --async: dispatch-queue bound; requests "
+                       help="dispatch-queue bound; requests "
                             "beyond it are answered with a structured "
                             "overloaded record (default: 256)")
     start.add_argument("--tenant-max-inflight", type=int, default=None,
                        metavar="N",
-                       help="with --async: default per-tenant in-flight "
+                       help="default per-tenant in-flight "
                             "admission quota (default: 8; tenants may "
                             "override via the hello op)")
     start.set_defaults(handler=_cmd_serve_start)

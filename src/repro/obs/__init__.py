@@ -19,10 +19,9 @@ Three zero-dependency layers, all safe to leave enabled in production:
 The metric-name schema
 ----------------------
 Every metric name is dot-namespaced by the layer that owns it.  This
-is the documented schema that ``SolverSession.stats(flat=True)``,
-``SolverService.stats(flat=True)`` and the daemon's ``{"op":
-"metrics"}`` control op all return, and that future subsystems
-(async front end) emit into:
+is the documented schema that ``SolverSession.stats(flat=True)`` and
+the daemon's ``{"op": "metrics"}`` control op both return, and that
+future subsystems emit into:
 
 ====================================  =========  ========================
 name                                  kind       meaning

@@ -6,29 +6,21 @@ request stream, so compiled targets, canonical-component memo entries
 and the persistent store amortize over thousands of requests instead
 of being rebuilt per process invocation.  See DESIGN.md §10.
 
-Two front ends share the protocol:
-
-* the threaded daemon (:mod:`repro.service.daemon`) — one resident
-  session, thread-per-connection TCP, the original deployment;
-* the async daemon (:mod:`repro.service.async_daemon`) — asyncio
-  multiplexing, per-tenant sessions with quotas and priorities,
-  admission-control backpressure, and an HTTP/WebSocket facade.
-  See DESIGN.md §16.
+One daemon serves every front end
+(:mod:`repro.service.async_daemon`): stdio and TCP through one asyncio
+dispatch core with per-tenant sessions, quotas, priorities,
+admission-control backpressure, and an HTTP/WebSocket facade.  See
+DESIGN.md §16.
 """
 
 from repro.service.async_daemon import (
     AsyncDaemonHandle,
     AsyncSolverService,
+    ServiceStats,
     serve_async_stdio,
     serve_async_tcp,
 )
 from repro.service.client import DaemonClient
-from repro.service.daemon import (
-    ServiceStats,
-    SolverService,
-    serve_socket,
-    serve_stdio,
-)
 from repro.service.loadgen import LoadReport, run_load
 from repro.service.tenant import (
     LockedStore,
@@ -44,13 +36,10 @@ __all__ = [
     "LoadReport",
     "LockedStore",
     "ServiceStats",
-    "SolverService",
     "Tenant",
     "TenantQuota",
     "TenantRegistry",
     "run_load",
     "serve_async_stdio",
     "serve_async_tcp",
-    "serve_socket",
-    "serve_stdio",
 ]

@@ -1,18 +1,16 @@
-"""The asyncio multi-tenant service front end (DESIGN.md §16).
+"""The solver daemon behind ``repro serve`` (DESIGN.md §10, §16).
 
-The threaded daemon (:mod:`repro.service.daemon`) is one session behind
-one engine lock behind one thread-per-connection TCP loop: every
-concurrent client queues on the same lock, and management clients dial
-a fresh connection per request.  This module rebuilds the front end on
-one event loop:
+One asyncio event loop serves every front end — stdio, TCP and the
+HTTP/WebSocket facade — over one dispatch core:
 
 * **Connection multiplexing** — ``asyncio`` streams hold thousands of
   persistent connections on one thread; no per-connection OS thread.
-* **Per-tenant sessions** — each connection (or each named tenant
-  across connections; see ``{"op": "hello"}``) gets its own
-  :class:`~repro.service.tenant.Tenant`: an isolated session with its
-  own engine, memo bounds, strategy and PR 8 budget defaults, so
-  independent tenants count in parallel on the bounded executor
+* **Per-tenant sessions** — stdio runs on the ``default`` tenant; each
+  anonymous TCP connection gets an isolated per-connection tenant, and
+  a named tenant (``{"op": "hello", "tenant": ...}``) is shared across
+  connections.  A :class:`~repro.service.tenant.Tenant` owns its own
+  session — engine, memo bounds, strategy and budget defaults —
+  so independent tenants count in parallel on the bounded executor
   instead of convoying on one lock.
 * **Priorities** — every request may carry ``"priority": <int>``
   (lower runs earlier; the tenant quota sets the default).  Dispatch
@@ -29,17 +27,16 @@ one event loop:
   whole task list and streams one JSONL result line per task *as each
   finishes* (completion order), closing with a summary line.
 
-Protocol compatibility: request lines are exactly the threaded
-daemon's — the batch task codec plus control ops — and responses for
-task lines are byte-identical (evaluation funnels through the same
-:func:`~repro.batch.runner.evaluate_envelope`).  A connection answers
+Request lines are the batch task codec plus the control ops of
+:data:`CONTROL`, and task responses are exactly the records of
+:func:`~repro.batch.runner.evaluate_envelope`.  A connection answers
 in request order by default, so piping a scenario file through the
-async stdio front end stays byte-identical to ``repro batch run
---workers 1``.  ``{"op": "hello", "mode": "multiplex"}`` switches a
-connection to completion-order responses, where each request may carry
-a ``"rid"`` echo field for client-side correlation (``rid`` is
-stripped before evaluation, so task seeds — and therefore result
-bytes — never depend on it).
+stdio front end is byte-identical to ``repro batch run --workers 1``.
+``{"op": "hello", "mode": "multiplex"}`` switches a connection to
+completion-order responses, where each request may carry a ``"rid"``
+echo field for client-side correlation (``rid`` is stripped before
+evaluation, so task seeds — and therefore result bytes — never depend
+on it).
 
 The HTTP/WebSocket facade for browser clients lives in
 :mod:`repro.service.httpgate`, on top of the same dispatch core.
@@ -54,7 +51,16 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, IO, List, Optional, Tuple
+from typing import (
+    IO,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.batch.runner import evaluate_envelope
 from repro.batch.tasks import canonical_json
@@ -62,7 +68,6 @@ from repro.errors import ReproError
 from repro.obs.logs import StructuredLogger, new_request_id
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import collect_phases
-from repro.service.daemon import DEFAULT_WORKERS, ServiceStats
 from repro.service.tenant import (
     LockedStore,
     Tenant,
@@ -70,11 +75,84 @@ from repro.service.tenant import (
     TenantRegistry,
 )
 
+DEFAULT_WORKERS = 4
 DEFAULT_MAX_QUEUE = 256
-ASYNC_CONTROL_OPS = ("ping", "stats", "metrics", "drain", "shutdown",
-                     "hello", "batch")
 
 _QUEUE_STOP = object()
+
+
+class ServiceStats:
+    """Request accounting for one service lifetime, registry-homed.
+
+    Every number lives in a :class:`~repro.obs.metrics.MetricsRegistry`
+    under the ``service.*`` names of the documented schema
+    (:mod:`repro.obs`); :meth:`snapshot` renders the nested ``stats``
+    op shape from those same metrics.  Request latency goes into a
+    log2-bucketed histogram in microseconds — the buckets the
+    ``metrics`` control op and the Prometheus exposition serve.
+    Recording is locked: executor threads of different tenants finish
+    requests concurrently, and a counter increment is not atomic.
+    """
+
+    __slots__ = ("metrics", "_requests", "_errors", "_control",
+                 "_latency", "_budget_exceeded", "_kinds", "_lock")
+
+    def __init__(self, metrics: Optional[MetricsRegistry] = None):
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._requests = self.metrics.counter("service.requests")
+        self._errors = self.metrics.counter("service.errors")
+        self._control = self.metrics.counter("service.control_requests")
+        self._latency = self.metrics.histogram("service.request.latency_us")
+        self._budget_exceeded = self.metrics.counter(
+            "service.request.budget_exceeded")
+        self._kinds: Dict[str, object] = {}
+        self._lock = threading.Lock()
+
+    @property
+    def requests(self) -> int:
+        return self._requests.value
+
+    @property
+    def errors(self) -> int:
+        return self._errors.value
+
+    @property
+    def control_requests(self) -> int:
+        return self._control.value
+
+    def record_control(self) -> None:
+        with self._lock:
+            self._control.value += 1
+
+    def record(self, kind: Optional[str], ok: bool, elapsed: float,
+               budget_exceeded: bool = False) -> None:
+        label = kind or "invalid"
+        with self._lock:
+            self._requests.value += 1
+            if not ok:
+                self._errors.value += 1
+            if budget_exceeded:
+                self._budget_exceeded.value += 1
+            self._latency.observe(elapsed * 1e6)
+            counter = self._kinds.get(label)
+            if counter is None:
+                counter = self.metrics.counter(
+                    f"service.requests.kind.{label}")
+                self._kinds[label] = counter
+            counter.value += 1
+
+    def snapshot(self) -> Dict[str, object]:
+        count = self._latency.count
+        mean = (self._latency.sum / 1e6 / count) if count else 0.0
+        return {
+            "requests": self.requests,
+            "errors": self.errors,
+            "control_requests": self.control_requests,
+            "budget_exceeded": self._budget_exceeded.value,
+            "mean_latency_ms": round(mean * 1000.0, 3),
+            "kinds": {label: counter.value
+                      for label, counter in sorted(self._kinds.items())},
+        }
 
 
 class _Job:
@@ -146,12 +224,12 @@ class AsyncSolverService:
                                       default_quota=default_quota,
                                       store=self._store,
                                       preload=preload)
-        # The default tenant answers stdio mode and any connection that
+        # The default tenant answers stdio mode; a connection that
         # never says hello with a tenant name of its own is *not* given
         # this one — it gets an anonymous isolated tenant.  The default
         # tenant's session registry is the one attached below, so the
         # metrics op reports engine/store counters for the resident
-        # session exactly like the threaded daemon.
+        # stdio session.
         self.default_tenant = self.tenants.get_or_create("default")
         self.metrics.attach(self.default_tenant.session.metrics)
         self._m_overloaded = self.metrics.counter("service.overloaded")
@@ -304,7 +382,10 @@ class AsyncSolverService:
                 response, ok, budget_exceeded = await loop.run_in_executor(
                     self._executor, self._evaluate, job.tenant, job.line,
                     job.rid)
-            except Exception as exc:  # noqa: BLE001 — keep dispatching
+            except Exception as exc:  # noqa: BLE001 — last resort
+                # _evaluate answers a failing evaluation itself; this
+                # only catches a bug in that answering, so the
+                # dispatcher keeps serving the queue.
                 ok, budget_exceeded = False, False
                 response = canonical_json({
                     "id": None, "kind": None, "ok": False,
@@ -320,19 +401,30 @@ class AsyncSolverService:
                   rid=None) -> Tuple[str, bool, bool]:
         """Executor-side evaluation under the tenant's engine lock.
 
-        Same error-isolation contract as the threaded daemon: library
-        errors became records inside ``evaluate_envelope``; anything
-        else becomes an ``InternalError`` record in the dispatcher.
+        Library errors become records inside ``evaluate_envelope``.
+        Any other exception is one request's bug: it is answered with
+        an ``InternalError`` record carrying the request id of its log
+        line, and counted like every failed request — service and
+        session counters, plus the request log — so one poisoned task
+        never takes the daemon down or goes unrecorded.
         """
         request_id = new_request_id()
         start = time.perf_counter()
         phases: Dict[str, float] = {}
         with tenant.lock:
-            if self.logger is not None:
-                with collect_phases() as phases:
+            try:
+                if self.logger is not None:
+                    with collect_phases() as phases:
+                        envelope = evaluate_envelope(line, tenant.session)
+                else:
                     envelope = evaluate_envelope(line, tenant.session)
-            else:
-                envelope = evaluate_envelope(line, tenant.session)
+            except Exception as exc:  # noqa: BLE001 — the daemon survives
+                tenant.session.record_task(ok=False)
+                envelope = {
+                    "id": None, "kind": None, "ok": False,
+                    "request_id": request_id,
+                    "error": f"InternalError: {type(exc).__name__}: {exc}",
+                }
         kind = envelope.get("kind")
         ok = bool(envelope.get("ok"))
         budget_exceeded = envelope.get("error_kind") == "budget-exceeded"
@@ -364,42 +456,53 @@ class AsyncSolverService:
         return {"service": service, "session": session,
                 "tenants": self.tenants.stats()}
 
-    def control_record(self, record: dict, connection=None) -> Optional[str]:
-        """The single-line answer to one control record, or ``None``
-        when the op needs connection-level handling (hello/batch —
-        the front ends intercept those before calling here)."""
-        op = record.get("op")
+    def control_record(self, record: dict) -> str:
+        """The single-line answer to one control record.
+
+        An op that needs a connection (see :data:`CONTROL`) is refused
+        here: a connection front end hands those to the connection
+        before calling this, so only connectionless callers — stdio,
+        ``POST /task`` — reach the refusal.
+        """
         self.stats_counters.record_control()
+        op = record.get("op")
+        control = control_for(record)
+        if control is None:
+            payload = {"ok": False, "op": str(op),
+                       "error": f"unknown control op {op!r}; "
+                                f"expected one of {list(CONTROL_OPS)}"}
+        elif control.needs_connection:
+            payload = {"ok": False, "op": op,
+                       "error": f"{op} op needs a persistent connection; "
+                                f"use the line protocol or /ws"}
+        else:
+            payload = control.handler(self, record)
         rid = record.get("rid")
+        if rid is not None:
+            payload["rid"] = rid
+        return canonical_json(payload)
 
-        def _reply(payload: Dict[str, object]) -> str:
-            if rid is not None:
-                payload["rid"] = rid
-            return canonical_json(payload)
+    def _ping(self, record: dict) -> Dict[str, object]:
+        return {"ok": True, "op": "ping"}
 
-        if op == "ping":
-            return _reply({"ok": True, "op": "ping"})
-        if op == "stats":
-            return _reply({"ok": True, "op": "stats", "stats": self.stats()})
-        if op == "metrics":
-            with self.default_tenant.lock:
-                if record.get("format") == "prometheus":
-                    return _reply({"ok": True, "op": "metrics",
-                                   "format": "prometheus",
-                                   "exposition": self.metrics.exposition()})
-                snapshot = self.metrics.snapshot()
-            return _reply({"ok": True, "op": "metrics",
-                           "metrics": snapshot})
-        if op == "drain":
-            self.request_drain()
-            return _reply({"ok": True, "op": "drain", "draining": True})
-        if op == "shutdown":
-            self.request_drain()
-            return _reply({"ok": True, "op": "shutdown"})
-        return _reply({
-            "ok": False, "op": str(op),
-            "error": f"unknown control op {op!r}; "
-                     f"expected one of {list(ASYNC_CONTROL_OPS)}"})
+    def _stats(self, record: dict) -> Dict[str, object]:
+        return {"ok": True, "op": "stats", "stats": self.stats()}
+
+    def _metrics(self, record: dict) -> Dict[str, object]:
+        with self.default_tenant.lock:
+            if record.get("format") == "prometheus":
+                return {"ok": True, "op": "metrics", "format": "prometheus",
+                        "exposition": self.metrics.exposition()}
+            return {"ok": True, "op": "metrics",
+                    "metrics": self.metrics.snapshot()}
+
+    def _drain(self, record: dict) -> Dict[str, object]:
+        self.request_drain()
+        return {"ok": True, "op": "drain", "draining": True}
+
+    def _shutdown(self, record: dict) -> Dict[str, object]:
+        self.request_drain()
+        return {"ok": True, "op": "shutdown"}
 
 
 def parse_control(line: str) -> Optional[dict]:
@@ -519,18 +622,14 @@ class _Connection:
     def handle_line(self, line: str) -> bool:
         """Process one request line; ``False`` stops the read loop."""
         service = self.service
-        control = parse_control(line)
-        if control is not None:
-            op = control.get("op")
-            if op == "hello":
-                self.emit_line(self._handle_hello(control))
+        record = parse_control(line)
+        if record is not None:
+            control = control_for(record)
+            if control is not None and control.needs_connection:
+                control.handler(self, record)
                 return True
-            if op == "batch":
-                self._handle_batch(control)
-                return True
-            response = service.control_record(control)
-            self.emit_line(response)
-            return op not in ("drain", "shutdown")
+            self.emit_line(service.control_record(record))
+            return not ends_stream(record)
         eval_line, rid = strip_rid(line)
         record = None
         if rid is not None or '"priority"' in line:
@@ -542,7 +641,7 @@ class _Connection:
             self.ensure_tenant(), eval_line, record=record, rid=rid))
         return True
 
-    def _handle_hello(self, record: dict) -> str:
+    def _hello(self, record: dict) -> None:
         service = self.service
         rid = record.get("rid")
         quota_keys = ("max_inflight", "deadline_ms", "max_counts",
@@ -586,9 +685,9 @@ class _Connection:
                        "draining": service.draining}
         if rid is not None:
             payload["rid"] = rid
-        return canonical_json(payload)
+        self.emit_line(canonical_json(payload))
 
-    def _handle_batch(self, record: dict) -> None:
+    def _batch(self, record: dict) -> None:
         """Admit every task of a batch op; stream results as they land.
 
         Each result line is the task's ordinary envelope (it carries
@@ -687,6 +786,47 @@ class _Connection:
             self.tenant = None
 
 
+class _Control(NamedTuple):
+    """One control op: its handler plus the two facts front ends need.
+
+    ``needs_connection`` ops (``hello``, ``batch``) act on connection
+    state, so the handler is a :class:`_Connection` method and the
+    connectionless front ends refuse them; every other handler is an
+    :class:`AsyncSolverService` method returning the reply payload.
+    ``ends_stream`` ops (``drain``, ``shutdown``) end the request
+    stream they arrive on: the front end stops reading after replying.
+    """
+
+    handler: Callable[..., Optional[Dict[str, object]]]
+    needs_connection: bool = False
+    ends_stream: bool = False
+
+
+#: Every control op, answered inline on the event loop (never queued).
+CONTROL: Dict[str, _Control] = {
+    "ping": _Control(AsyncSolverService._ping),
+    "stats": _Control(AsyncSolverService._stats),
+    "metrics": _Control(AsyncSolverService._metrics),
+    "drain": _Control(AsyncSolverService._drain, ends_stream=True),
+    "shutdown": _Control(AsyncSolverService._shutdown, ends_stream=True),
+    "hello": _Control(_Connection._hello, needs_connection=True),
+    "batch": _Control(_Connection._batch, needs_connection=True),
+}
+CONTROL_OPS = tuple(CONTROL)
+
+
+def control_for(record: dict) -> Optional[_Control]:
+    """The :data:`CONTROL` entry for a parsed control record, if any."""
+    op = record.get("op")
+    return CONTROL.get(op) if isinstance(op, str) else None
+
+
+def ends_stream(record: dict) -> bool:
+    """Whether a control record ends the request stream it arrived on."""
+    control = control_for(record)
+    return control is not None and control.ends_stream
+
+
 async def handle_connection(service: AsyncSolverService,
                             reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
@@ -767,65 +907,83 @@ async def serve_async_stdio(service: AsyncSolverService,
                             source: Optional[Iterable[str]] = None,
                             sink: Optional[IO[str]] = None) -> int:
     """Answer a JSONL stream on the default tenant, responses in
-    request order — byte-identical to the threaded stdio front end
-    (and therefore to ``repro batch run --workers 1``).
+    request order — byte-identical to ``repro batch run --workers 1``.
 
-    Reading happens on the executor so the event loop keeps
-    dispatching while a slow producer trickles lines in; the bounded
-    dispatch queue plus the default tenant's in-flight window is the
-    backpressure (the reader stalls in :meth:`_reader_gate` rather
-    than buffering without limit).  Returns response lines written.
+    Reads ``source`` (default stdin) to EOF, until a stream-ending
+    control op (``drain``/``shutdown``), or until a drain requested
+    from outside (SIGTERM) quiesces the service, writing one response
+    line per request to ``sink`` (default stdout) and flushing each as
+    soon as it resolves, oldest first.  Reading and writing happen off
+    the event loop, so it keeps dispatching while a slow producer
+    trickles lines in.
+
+    Backpressure runs both ways.  The reader waits for room in the
+    default tenant's in-flight window and the dispatch queue instead
+    of drawing ``overloaded`` answers, and at most ``max(2, 4 ×
+    workers)`` responses wait for the sink: a consumer that stops
+    draining stalls the reader rather than parking the whole stream
+    in memory.  A sink that fails stops the reader, and the failure
+    propagates.  Returns the number of response lines written.
     """
     await service.start()
     loop = asyncio.get_running_loop()
-    if source is None:
-        source = sys.stdin
     sink = sys.stdout if sink is None else sink
-    iterator = iter(source)
+    feed = _LineFeed(sys.stdin if source is None else source, loop)
     tenant = service.default_tenant
-    written = 0
-    pending: "asyncio.Queue" = asyncio.Queue()
+    pending: "asyncio.Queue" = asyncio.Queue(
+        maxsize=max(2, 4 * service.workers))
 
-    def _next_line() -> Optional[str]:
-        try:
-            return next(iterator)
-        except StopIteration:
-            return None
+    async def _end_on_drain() -> None:
+        await service.run_until_drained()
+        feed.end()
 
     async def _write_all() -> int:
         count = 0
+        failure: Optional[BaseException] = None
         while True:
             item = await pending.get()
             if item is None:
-                return count
+                break
             line = item if isinstance(item, str) else await item
-            await loop.run_in_executor(None, _blocking_write, sink, line)
-            count += 1
+            if failure is not None:
+                continue  # keep draining so the reader never blocks
+            try:
+                await loop.run_in_executor(None, _blocking_write, sink, line)
+            except Exception as exc:  # noqa: BLE001 — re-raised below
+                failure = exc
+                service.request_drain()
+            else:
+                count += 1
+        if failure is not None:
+            raise failure
+        return count
 
     writer_task = asyncio.ensure_future(_write_all())
-    while True:
-        line = await loop.run_in_executor(None, _next_line)
-        if line is None:
-            break
-        if not line.strip():
-            continue
-        control = parse_control(line)
-        if control is not None:
-            op = control.get("op")
-            pending.put_nowait(service.control_record(control))
-            if op in ("drain", "shutdown"):
+    watcher = asyncio.ensure_future(_end_on_drain())
+    try:
+        while True:
+            line = await feed.next_line()
+            if line is None:
                 break
-            continue
-        if service.draining:
-            break
-        # Backpressure: wait for quota room instead of queueing an
-        # unbounded pile of overloaded responses for a file stream.
-        while tenant.inflight >= tenant.quota.max_inflight \
-                or service.queue_depth() >= service.max_queue:
-            await asyncio.sleep(0.001)
-        eval_line, rid = strip_rid(line)
-        pending.put_nowait(service.submit(tenant, eval_line, rid=rid))
-    pending.put_nowait(None)
+            if not line.strip():
+                continue
+            control = parse_control(line)
+            if control is not None:
+                await pending.put(service.control_record(control))
+                if ends_stream(control):
+                    break
+                continue
+            if service.draining:
+                break
+            while tenant.inflight >= tenant.quota.max_inflight \
+                    or service.queue_depth() >= service.max_queue:
+                await asyncio.sleep(0.001)
+            eval_line, rid = strip_rid(line)
+            await pending.put(service.submit(tenant, eval_line, rid=rid))
+    finally:
+        feed.close()
+        watcher.cancel()
+    await pending.put(None)
     written = await writer_task
     with tenant.lock:
         tenant.session.flush()
@@ -835,6 +993,61 @@ async def serve_async_stdio(service: AsyncSolverService,
 def _blocking_write(sink: IO[str], line: str) -> None:
     sink.write(line + "\n")
     sink.flush()
+
+
+class _LineFeed:
+    """The lines of a source, read one at a time on a daemon thread.
+
+    A daemon thread, not the executor: a read blocked on an idle stdin
+    must not keep the process alive once a drain ends the stream, and
+    asyncio joins its executor threads at exit.  The thread reads a
+    line only when :meth:`next_line` asks for one, so a stalled stream
+    stalls the reading.
+    """
+
+    def __init__(self, source: Iterable[str],
+                 loop: asyncio.AbstractEventLoop):
+        self._iterator = iter(source)
+        self._loop = loop
+        self._lines: "asyncio.Queue" = asyncio.Queue()
+        self._wanted = threading.Semaphore(0)
+        self._closed = False
+        threading.Thread(target=self._read, daemon=True,
+                         name="repro-stdio-reader").start()
+
+    def _read(self) -> None:
+        while True:
+            self._wanted.acquire()
+            if self._closed:
+                return
+            try:
+                item = next(self._iterator, None)
+            except Exception as exc:  # noqa: BLE001 — raised by next_line
+                item = exc
+            try:
+                self._loop.call_soon_threadsafe(self._lines.put_nowait, item)
+            except RuntimeError:  # the loop has closed
+                return
+            if not isinstance(item, str):
+                return
+
+    async def next_line(self) -> Optional[str]:
+        """The next line, or ``None`` at the end of the stream."""
+        self._wanted.release()
+        item = await self._lines.get()
+        if isinstance(item, Exception):
+            raise item
+        return item
+
+    def end(self) -> None:
+        """End the stream now: the waiting :meth:`next_line` gets
+        ``None`` even while the thread is blocked in a read."""
+        self._lines.put_nowait(None)
+
+    def close(self) -> None:
+        """Let a thread waiting to be asked for a line exit."""
+        self._closed = True
+        self._wanted.release()
 
 
 # ----------------------------------------------------------------------

@@ -233,9 +233,7 @@ class DaemonClient:
     def hello(self, tenant: Optional[str] = None,
               mode: Optional[str] = None,
               **quota: object) -> Dict[str, object]:
-        """Bind this connection to a tenant / response mode (async
-        daemon only; the threaded daemon answers with its unknown-op
-        record)."""
+        """Bind this connection to a tenant / response mode."""
         record: Dict[str, object] = {}
         if tenant is not None:
             record["tenant"] = tenant

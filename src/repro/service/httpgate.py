@@ -215,14 +215,6 @@ async def _route(service: AsyncSolverService, method: str, path: str,
         line = body.decode("utf-8", errors="replace")
         control = parse_control(line)
         if control is not None:
-            op = control.get("op")
-            if op in ("hello", "batch"):
-                payload = canonical_json({
-                    "ok": False, "op": op,
-                    "error": f"{op} op needs a persistent connection; "
-                             f"use the line protocol or /ws"})
-                return _http_response(400, "Bad Request",
-                                      payload.encode("utf-8"))
             response = service.control_record(control)
         else:
             eval_line, rid = strip_rid(line)

@@ -1,11 +1,11 @@
-"""Per-connection tenancy for the async service front end.
+"""Per-connection tenancy for the service daemon.
 
-The threaded daemon (DESIGN.md §10) serves every client from *one*
-resident session behind one engine lock: correct, but a single hot
-tenant convoys everyone else, and there is no way to give two clients
-different strategies, budgets or memo bounds.  The async front end
-(:mod:`repro.service.async_daemon`) instead gives each connection — or
-each named tenant across connections — its own :class:`Tenant`:
+One resident session behind one engine lock would let a single hot
+client convoy everyone else, and could not give two clients different
+strategies, budgets or memo bounds.  The daemon
+(:mod:`repro.service.async_daemon`) instead gives stdio the
+``default`` tenant and each TCP connection — or each named tenant
+across connections — its own :class:`Tenant`:
 
 * an isolated :class:`~repro.session.SolverSession` (own engine, own
   memo, own budget defaults), so one tenant's deadline trips, strategy
@@ -19,8 +19,8 @@ each named tenant across connections — its own :class:`Tenant`:
 Tenants may share one persistent store: :class:`LockedStore` wraps the
 service-owned store object with a lock so independent tenant engines
 can probe and record concurrently (the SQLite stores are only
-thread-compatible under external serialization — the threaded daemon's
-engine lock used to provide it; here the store wrapper does).
+thread-compatible under external serialization, which the store
+wrapper provides).
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """The async multi-tenant front end: parity, tenancy, backpressure.
 
-The headline contracts (ISSUE 10 acceptance): the async stdio front
-end answers a mixed JSONL stream byte-identical to ``repro batch run
---workers 1``; two tenants with different strategies/quotas get
-independent sessions, independent budget trips, and byte-identical
-results vs solo runs; overload is answered with structured records,
-not unbounded buffering; drain answers everything in flight.
+The headline contracts: the async stdio front end answers a mixed
+JSONL stream byte-identical to ``repro batch run --workers 1``; two
+tenants with different strategies/quotas get independent sessions,
+independent budget trips, and byte-identical results vs solo runs;
+overload is answered with structured records, not unbounded
+buffering; drain answers everything in flight.
 """
 
 from __future__ import annotations
@@ -38,6 +38,15 @@ from repro.service import (
 from repro.service.async_daemon import strip_rid
 from repro.service.loadgen import default_task_lines, percentile, run_load
 from repro.structures.generators import clique_structure, cycle_structure
+
+# A leaked socket fails the run instead of surfacing as a stray
+# warning.  The warning fires in a finalizer, which pytest reports as
+# an unraisable-exception warning, so that one is an error too.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"),
+]
 
 
 def _stream(kind: str, count: int, seed: int):
@@ -462,8 +471,21 @@ class TestHttpGate:
             answer = urllib.request.urlopen(request, timeout=10).read()
             assert answer.decode("utf-8") == expected
 
+            batch = urllib.request.Request(
+                base + "/task", data=b'{"op": "batch"}', method="POST")
+            with pytest.raises(urllib.error.HTTPError) as refused:
+                urllib.request.urlopen(batch, timeout=10)
+            body = json.loads(refused.value.read())
+            refused.value.close()
+            assert refused.value.code == 400
+            assert body == {"error": "batch op needs a persistent "
+                                     "connection; use the line protocol "
+                                     "or /ws",
+                            "ok": False, "op": "batch"}
+
             with pytest.raises(urllib.error.HTTPError) as missing:
                 urllib.request.urlopen(base + "/nothing", timeout=10)
+            missing.value.close()
             assert missing.value.code == 404
 
     def test_http_draining_maps_to_503(self):
@@ -560,32 +582,6 @@ class TestPersistentClient:
             assert client.ping()["ok"]
             assert client.ping()["ok"]
             assert client.connects == 2
-
-    def test_client_against_threaded_daemon(self):
-        # The persistent client speaks to the threaded daemon too:
-        # its handler loops over lines on one connection.
-        from repro.service import SolverService, serve_socket
-
-        service = SolverService(workers=1)
-        ready = threading.Event()
-        bound = []
-        thread = threading.Thread(
-            target=serve_socket, args=(service,),
-            kwargs={"port": 0, "ready": ready, "bound": bound},
-            daemon=True)
-        thread.start()
-        assert ready.wait(timeout=10)
-        host, port = bound[0]
-        client = DaemonClient(host=host, port=port)
-        try:
-            assert client.ping()["ok"]
-            assert client.stats()["ok"]
-            assert client.connects == 1
-        finally:
-            client.shutdown()
-            client.close()
-            thread.join(timeout=10)
-            service.close()
 
 
 # ----------------------------------------------------------------------

@@ -28,11 +28,9 @@ EXPECTED_WORKLOADS = {
                    "speedup_dp"},
     "service_throughput": {"cold_dispatch_per_task_s",
                            "warm_service_per_task_s", "speedup", "tasks"},
-    "service_concurrency": {"threaded_per_request_s", "async_persistent_s",
-                            "speedup", "threaded_throughput_rps",
-                            "async_throughput_rps", "threaded_p50_ms",
-                            "threaded_p99_ms", "async_p50_ms",
-                            "async_p99_ms", "clients", "requests"},
+    "service_concurrency": {"async_persistent_s", "async_throughput_rps",
+                            "async_p50_ms", "async_p99_ms", "clients",
+                            "requests"},
     "linalg_det": {"gaussian_fraction_s", "bareiss_s", "speedup"},
     "store_tiered": {"singlefile_record_s", "tiered_record_s",
                      "speedup_record", "singlefile_lookup_s",

@@ -1,15 +1,19 @@
 """The resident request service: protocol, parity, isolation, shutdown.
 
-The headline contract (ISSUE 4 acceptance): a warm ``repro serve``
-session answers a 200-task mixed JSONL stream **byte-identical** to
-``repro batch run --workers 1``, with cross-request memo hits > 0.
+The headline contract: a warm ``repro serve`` stdio stream answers a
+200-task mixed JSONL stream **byte-identical** to ``repro batch run
+--workers 1``, with cross-request memo hits > 0.  Every test here
+drives the one daemon (:mod:`repro.service.async_daemon`) through its
+stdio front end or a live TCP :class:`AsyncDaemonHandle`.
 """
 
 from __future__ import annotations
 
+import asyncio
 import io
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -25,7 +29,13 @@ from repro.batch.tasks import (
 )
 from repro.errors import ReproError
 from repro.obs import StructuredLogger
-from repro.service import DaemonClient, SolverService, serve_socket, serve_stdio
+from repro.service import (
+    AsyncDaemonHandle,
+    AsyncSolverService,
+    DaemonClient,
+    serve_async_stdio,
+)
+from repro.service.async_daemon import parse_control
 from repro.session import SolverSession
 from repro.structures.generators import clique_structure, path_structure
 
@@ -35,11 +45,30 @@ def _stream(kind: str, count: int, seed: int):
             for record in generate_scenario(kind, count, seed=seed)]
 
 
-def _serve_lines(service: SolverService, lines) -> list:
-    sink = io.StringIO()
-    serve_stdio(service, source=iter(line + "\n" for line in lines),
+def _serve_lines(lines, probe=AsyncSolverService.stats, **service_kwargs):
+    """``(responses, probe(service))`` for one stdio stream.
+
+    ``probe`` runs on the drained service before it closes, so it sees
+    the final counters of the stream it served.
+    """
+    async def main():
+        service = AsyncSolverService(**service_kwargs)
+        sink = io.StringIO()
+        try:
+            await serve_async_stdio(
+                service, source=iter(line + "\n" for line in lines),
                 sink=sink)
-    return sink.getvalue().splitlines()
+            return sink.getvalue().splitlines(), probe(service)
+        finally:
+            await service.aclose()
+
+    return asyncio.run(main())
+
+
+def _control(op: str, **fields):
+    """A probe answering one control op on the drained service."""
+    return lambda service: json.loads(
+        service.control_record({"op": op, **fields}))
 
 
 # ----------------------------------------------------------------------
@@ -49,9 +78,7 @@ class TestBatchParity:
     def test_200_task_mixed_stream_matches_batch_run(self):
         lines = _stream("mixed", 200, seed=11)
         batch = list(iter_results(lines, workers=1))
-        with SolverService(workers=2) as service:
-            served = _serve_lines(service, lines)
-            report = service.stats()
+        served, report = _serve_lines(lines, workers=2)
         assert served == batch  # byte-for-byte
 
         engine = report["session"]["engine"]
@@ -65,8 +92,7 @@ class TestBatchParity:
     def test_hom_scenario_matches_batch_run(self):
         lines = _stream("hom", 16, seed=5)
         batch = list(iter_results(lines, workers=1))
-        with SolverService() as service:
-            assert _serve_lines(service, lines) == batch
+        assert _serve_lines(lines)[0] == batch
 
     def test_iter_results_accepts_resident_session(self):
         """The service's inline-evaluation path: iter_results under a
@@ -81,14 +107,10 @@ class TestBatchParity:
         assert session.tasks_evaluated == 16
 
     def test_iter_results_rejects_session_with_workers(self):
-        from repro.errors import ReproError
-
         with pytest.raises(ReproError, match="workers"):
             list(iter_results([], workers=2, session=SolverSession()))
 
     def test_iter_results_rejects_session_plus_cache_path(self):
-        from repro.errors import ReproError
-
         with pytest.raises(ReproError, match="not both"):
             list(iter_results([], workers=1, session=SolverSession(),
                               cache_path="x.sqlite"))
@@ -107,12 +129,10 @@ class TestHomCountKind:
         assert task.source == source
         assert task.target == target
 
-        session = SolverSession()
-        with SolverService(session=session) as service:
-            [line] = _serve_lines(service, [canonical_json(record)])
+        [line], _ = _serve_lines([canonical_json(record)])
         payload = json.loads(line)
         assert payload["ok"] is True
-        assert int(payload["count"]) == session.count(source, target)
+        assert int(payload["count"]) == SolverSession().count(source, target)
 
     def test_bad_payload_rejected(self):
         with pytest.raises(BatchCodecError, match="source"):
@@ -132,15 +152,12 @@ class TestHomCountKind:
 # ----------------------------------------------------------------------
 class TestControlOps:
     def test_ping(self):
-        with SolverService() as service:
-            assert json.loads(service.handle_line('{"op": "ping"}')) == \
-                {"ok": True, "op": "ping"}
+        [line], _ = _serve_lines(['{"op": "ping"}'])
+        assert json.loads(line) == {"ok": True, "op": "ping"}
 
     def test_stats_reports_service_and_session(self):
         lines = _stream("hom", 4, seed=2)
-        with SolverService() as service:
-            _serve_lines(service, lines)
-            payload = json.loads(service.handle_line('{"op": "stats"}'))
+        _, payload = _serve_lines(lines, probe=_control("stats"))
         assert payload["ok"] is True
         stats = payload["stats"]
         assert stats["service"]["requests"] == 4
@@ -149,26 +166,61 @@ class TestControlOps:
         assert stats["service"]["mean_latency_ms"] >= 0.0
 
     def test_unknown_op_is_an_error_response(self):
-        with SolverService() as service:
-            payload = json.loads(service.handle_line('{"op": "dance"}'))
+        unknown, hello = _serve_lines(
+            ['{"op": "dance"}', '{"op": "hello"}'])[0]
+        payload = json.loads(unknown)
         assert payload["ok"] is False
         assert "dance" in payload["error"]
+        # hello/batch act on a connection, which stdio does not have
+        refused = json.loads(hello)
+        assert refused["ok"] is False and refused["op"] == "hello"
+        assert "needs a persistent connection" in refused["error"]
 
     def test_shutdown_stops_the_stream(self):
         lines = _stream("hom", 2, seed=3)
         source = [lines[0], '{"op": "shutdown"}', lines[1]]
-        with SolverService() as service:
-            responses = _serve_lines(service, source)
-            assert service.shutting_down
+        responses, draining = _serve_lines(
+            source, probe=lambda service: service.draining)
+        assert draining
         assert len(responses) == 2  # task result + shutdown ack, no more
         assert json.loads(responses[0])["kind"] == "hom-count"
         assert json.loads(responses[1]) == {"ok": True, "op": "shutdown"}
 
+    def test_external_drain_ends_an_idle_stream(self):
+        """A drain from outside the stream (SIGTERM in ``repro serve``)
+        ends stdio serving while the reader is blocked waiting for
+        input that never comes."""
+        line = _stream("hom", 1, seed=3)[0]
+        release = threading.Event()
+
+        def idle_source():
+            yield line + "\n"
+            release.wait(timeout=30)  # a client that goes quiet
+
+        async def main():
+            service = AsyncSolverService(workers=1)
+            sink = io.StringIO()
+            loop = asyncio.get_running_loop()
+            loop.call_later(0.5, service.request_drain)
+            started = time.monotonic()
+            try:
+                written = await serve_async_stdio(
+                    service, source=idle_source(), sink=sink)
+            finally:
+                await service.aclose()
+            return written, time.monotonic() - started
+
+        try:
+            written, elapsed = asyncio.run(main())
+        finally:
+            release.set()
+        assert written == 1
+        assert elapsed < 10.0
+
     def test_control_lines_are_not_tasks(self):
-        with SolverService() as service:
-            assert service.control_response("not json at all") is None
-            assert service.control_response('{"kind": "hom-count"}') is None
-            assert service.control_response('{"op": "ping"}') is not None
+        assert parse_control("not json at all") is None
+        assert parse_control('{"kind": "hom-count"}') is None
+        assert parse_control('{"op": "ping"}') == {"op": "ping"}
 
 
 # ----------------------------------------------------------------------
@@ -182,9 +234,7 @@ class TestErrorIsolation:
                   lines[0],
                   '{"id": "", "kind": "hom-count"}',
                   lines[1]]
-        with SolverService() as service:
-            responses = _serve_lines(service, source)
-            report = service.stats()
+        responses, report = _serve_lines(source)
         assert len(responses) == 5
         verdicts = [json.loads(r)["ok"] for r in responses]
         assert verdicts == [False, False, True, False, True]
@@ -192,37 +242,33 @@ class TestErrorIsolation:
         assert report["service"]["requests"] == 5
 
     def test_unexpected_exception_becomes_internal_error(self, monkeypatch):
-        import repro.service.daemon as daemon
+        import repro.service.async_daemon as async_daemon
 
         def boom(line, context):
             raise ValueError("wired to fail")
 
-        monkeypatch.setattr(daemon, "evaluate_envelope", boom)
-        with SolverService() as service:
-            payload = json.loads(service.evaluate('{"x": 1}'))
-            report = service.stats()
+        monkeypatch.setattr(async_daemon, "evaluate_envelope", boom)
+        log = io.StringIO()
+        logger = StructuredLogger(stream=log, component="repro.serve")
+        [line], report = _serve_lines(['{"x": 1}'], logger=logger)
+        payload = json.loads(line)
         assert payload["ok"] is False
         assert payload["error"].startswith("InternalError")
+        assert payload["request_id"].startswith("req-")
+        assert report["service"]["requests"] == 1
         assert report["service"]["errors"] == 1
         # service and session accounting stay in step on error streams
         assert report["session"]["tasks_evaluated"] == 1
         assert report["session"]["task_errors"] == 1
-
-    def test_adopted_session_refuses_reconfiguration(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError, match="adopt"):
-            SolverService(session=SolverSession(), store_path="x.sqlite")
-        with pytest.raises(ReproError, match="adopt"):
-            SolverService(session=SolverSession(), strategy="dp")
+        # the request id ties the record to its request-log line
+        [entry] = [json.loads(text) for text in log.getvalue().splitlines()]
+        assert entry["request_id"] == payload["request_id"]
+        assert entry["ok"] is False
 
     def test_interactive_client_gets_response_before_next_request(self):
         """Request/response over a live pipe: the answer to request N
         must be flushed before the client sends request N+1 (the writer
-        thread emits each response as it resolves — no batching until
-        EOF)."""
-        import time
-
+        emits each response as it resolves — no batching until EOF)."""
         lines = _stream("hom", 2, seed=21)
         sink = io.StringIO()
         got_first = threading.Event()
@@ -237,32 +283,69 @@ class TestErrorIsolation:
                 time.sleep(0.005)
             yield lines[1] + "\n"
 
-        with SolverService(workers=2) as service:
-            serve_stdio(service, source=interactive_source(), sink=sink)
+        async def main():
+            service = AsyncSolverService(workers=2)
+            try:
+                await serve_async_stdio(
+                    service, source=interactive_source(), sink=sink)
+            finally:
+                await service.aclose()
+
+        asyncio.run(main())
         assert got_first.is_set()
         assert len(sink.getvalue().splitlines()) == 2
 
     def test_ordering_preserved_with_concurrent_workers(self):
         lines = _stream("mixed", 40, seed=13)
         expected = list(iter_results(lines, workers=1))
-        with SolverService(workers=4) as service:
-            assert _serve_lines(service, lines) == expected
+        assert _serve_lines(lines, workers=4)[0] == expected
+
+
+class TestConcurrentAccounting:
+    def test_concurrent_tenants_lose_no_counts(self):
+        """Executor threads of different tenants finish requests at the
+        same time; every request must land in the service counters."""
+        service = AsyncSolverService(workers=1)
+        tenants = [service.tenants.get_or_create(f"t{index}")
+                   for index in range(8)]
+        calls = 300
+
+        def hammer(tenant) -> None:
+            for _ in range(calls):
+                service._evaluate(tenant, "garbage{{{")
+
+        threads = [threading.Thread(target=hammer, args=(tenant,))
+                   for tenant in tenants]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+            asyncio.run(service.aclose())
+        assert not any(thread.is_alive() for thread in threads)
+        total = len(tenants) * calls
+        assert service.stats_counters.requests == total
+        assert service.stats_counters.errors == total
+        latency = service.metrics.snapshot()["service.request.latency_us"]
+        assert latency["count"] == total
+        assert sum(latency["buckets"].values()) == total
 
 
 class TestPersistentStore:
     def test_store_survives_across_service_lifetimes(self, tmp_path):
-        """Pool worker threads share the session's SQLite handle (the
-        engine lock serializes access); a second daemon over the same
-        store answers the whole stream from the preloaded warm memo."""
+        """Executor threads share the store through its locking facade;
+        a second daemon over the same store answers the whole stream
+        from the preloaded warm memo."""
         path = str(tmp_path / "serve.sqlite")
         lines = _stream("hom", 12, seed=3)
-        with SolverService(workers=4, store_path=path) as first:
-            cold = _serve_lines(first, lines)
-            assert first.stats()["service"]["errors"] == 0
-        with SolverService(workers=4, store_path=path,
-                           preload=2048) as second:
-            warm = _serve_lines(second, lines)
-            report = second.stats()
+        cold, first = _serve_lines(lines, workers=4, store_path=path)
+        assert first["service"]["errors"] == 0
+        warm, report = _serve_lines(lines, workers=4, store_path=path,
+                                    preload=2048)
         assert warm == cold
         engine = report["session"]["engine"]
         assert engine["misses"] == 0  # everything came pre-warmed
@@ -271,23 +354,14 @@ class TestPersistentStore:
 
 
 # ----------------------------------------------------------------------
-# Socket front-end
+# TCP front end
 # ----------------------------------------------------------------------
 class TestSocketMode:
     def test_tcp_round_trip_and_shutdown(self):
-        service = SolverService(workers=2)
-        ready = threading.Event()
-        bound: list = []
-        thread = threading.Thread(
-            target=serve_socket, args=(service,),
-            kwargs={"port": 0, "ready": ready, "bound": bound}, daemon=True)
-        thread.start()
-        assert ready.wait(10)
-        host, port = bound[0]
-
+        handle = AsyncDaemonHandle(workers=2).start()
         task = canonical_json(make_hom_count_task(
             "tcp-1", path_structure(["R"]), clique_structure(3)))
-        with socket.create_connection((host, port), timeout=10) as conn:
+        with socket.create_connection(handle.address, timeout=10) as conn:
             wire = conn.makefile("rw", encoding="utf-8")
             wire.write(task + "\n")
             wire.flush()
@@ -300,9 +374,10 @@ class TestSocketMode:
             wire.write('{"op": "shutdown"}\n')
             wire.flush()
             assert json.loads(wire.readline())["op"] == "shutdown"
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        service.close()
+            wire.close()
+        handle._thread.join(timeout=10)
+        assert not handle._thread.is_alive()
+        handle.stop()
 
 
 # ----------------------------------------------------------------------
@@ -310,11 +385,8 @@ class TestSocketMode:
 # ----------------------------------------------------------------------
 class TestMetricsOp:
     def test_metrics_snapshot_schema(self):
-        with SolverService(workers=1) as service:
-            for line in _stream("hom", 3, seed=2):
-                service.evaluate(line)
-            response = json.loads(
-                service.control_response('{"op": "metrics"}'))
+        _, response = _serve_lines(_stream("hom", 3, seed=2), workers=1,
+                                   probe=_control("metrics"))
         assert response["ok"] is True and response["op"] == "metrics"
         metrics = response["metrics"]
         # The documented namespaced schema, across every layer.
@@ -335,10 +407,9 @@ class TestMetricsOp:
         assert all(le == str(int(le)) for le in latency["buckets"])
 
     def test_metrics_prometheus_exposition(self):
-        with SolverService(workers=1) as service:
-            service.evaluate(_stream("hom", 1, seed=2)[0])
-            response = json.loads(service.control_response(
-                '{"op": "metrics", "format": "prometheus"}'))
+        _, response = _serve_lines(
+            _stream("hom", 1, seed=2), workers=1,
+            probe=_control("metrics", format="prometheus"))
         assert response["format"] == "prometheus"
         text = response["exposition"]
         assert "# TYPE service_requests counter" in text
@@ -347,30 +418,30 @@ class TestMetricsOp:
         assert 'service_request_latency_us_bucket{le="+Inf"} 1' in text
 
     def test_flat_stats_is_the_metrics_view(self):
-        with SolverService(workers=1) as service:
-            service.evaluate(_stream("hom", 1, seed=2)[0])
-            flat = service.stats(flat=True)
-            nested = service.stats()
+        _, (flat, nested) = _serve_lines(
+            _stream("hom", 1, seed=2), workers=1,
+            probe=lambda service: (service.metrics.snapshot(),
+                                   service.stats()))
         assert flat["service.requests"] == \
             nested["service"]["requests"] == 1
         assert flat["engine.memo.hits"] == \
             nested["session"]["engine"]["hits"]
 
     def test_drain_op_flips_shutdown(self):
-        with SolverService(workers=1) as service:
-            response = json.loads(
-                service.control_response('{"op": "drain"}'))
-            assert response == {"draining": True, "ok": True, "op": "drain"}
-            assert service.shutting_down
+        _, (response, draining) = _serve_lines(
+            [], workers=1,
+            probe=lambda service: (_control("drain")(service),
+                                   service.draining))
+        assert response == {"draining": True, "ok": True, "op": "drain"}
+        assert draining
 
 
 class TestRequestLog:
     def test_log_lines_carry_request_ids_and_phases(self):
         sink = io.StringIO()
         logger = StructuredLogger(stream=sink, component="repro.serve")
-        with SolverService(workers=1, logger=logger) as service:
-            out = [service.evaluate(line)
-                   for line in _stream("hom", 2, seed=3)]
+        out, _ = _serve_lines(_stream("hom", 2, seed=3), workers=1,
+                              logger=logger)
         # Protocol output never gains log lines (byte-parity).
         assert all(json.loads(line)["ok"] for line in out)
         records = [json.loads(line)
@@ -387,8 +458,7 @@ class TestRequestLog:
             assert "parse" in record["phases"]
 
     def test_no_logger_means_no_log_lines(self, capsys):
-        with SolverService(workers=1) as service:
-            service.evaluate(_stream("hom", 1, seed=3)[0])
+        _serve_lines(_stream("hom", 1, seed=3), workers=1)
         assert capsys.readouterr().err == ""
 
 
@@ -397,15 +467,8 @@ class TestRequestLog:
 # ----------------------------------------------------------------------
 class TestDaemonClient:
     def test_tcp_round_trips_and_drain(self):
-        service = SolverService(workers=2)
-        ready = threading.Event()
-        bound: list = []
-        thread = threading.Thread(
-            target=serve_socket, args=(service,),
-            kwargs={"port": 0, "ready": ready, "bound": bound}, daemon=True)
-        thread.start()
-        assert ready.wait(10)
-        host, port = bound[0]
+        handle = AsyncDaemonHandle(workers=2).start()
+        host, port = handle.address
         client = DaemonClient(host=host, port=port, timeout=10)
 
         assert client.ping() == {"ok": True, "op": "ping"}
@@ -420,7 +483,8 @@ class TestDaemonClient:
 
         metrics = client.metrics()["metrics"]
         assert metrics["service.requests"] == 1
-        assert metrics["session.tasks.evaluated"] == 1
+        # An anonymous TCP connection runs on its own isolated tenant.
+        assert metrics["service.tenant.conn-1.requests"] == 1
         assert metrics["service.request.latency_us"]["count"] == 1
 
         exposition = client.metrics(format="prometheus")["exposition"]
@@ -428,12 +492,13 @@ class TestDaemonClient:
 
         drained = client.drain()
         assert drained == {"draining": True, "ok": True, "op": "drain"}
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        service.close()
+        handle._thread.join(timeout=10)
+        assert not handle._thread.is_alive()
+        handle.stop()
 
         with pytest.raises(ReproError):
             client.ping()
+        client.close()
 
     def test_unreachable_daemon_is_a_clean_error(self):
         with socket.socket() as probe:
@@ -467,6 +532,26 @@ class TestServeCli:
 # stdio writer-queue backpressure (bounded response queue)
 # ----------------------------------------------------------------------
 class TestStdioBackpressure:
+    @staticmethod
+    def _serve_in_thread(source, sink, workers: int):
+        """Run one stdio stream on a background event loop."""
+        outcome: dict = {}
+
+        async def main():
+            service = AsyncSolverService(workers=workers)
+            try:
+                outcome["written"] = await serve_async_stdio(
+                    service, source=source, sink=sink)
+            except Exception as exc:  # noqa: BLE001 — asserted below
+                outcome["error"] = exc
+            finally:
+                await service.aclose()
+
+        thread = threading.Thread(target=lambda: asyncio.run(main()),
+                                  daemon=True)
+        thread.start()
+        return thread, outcome
+
     def test_slow_consumer_stalls_the_reader(self):
         """When the sink stops draining, the bounded response queue
         fills and the *reader* stalls — memory stays bounded instead
@@ -492,19 +577,13 @@ class TestStdioBackpressure:
                 produced.append(line)
                 yield line + "\n"
 
-        service = SolverService(workers=2)
-        done = []
-        thread = threading.Thread(
-            target=lambda: done.append(serve_stdio(
-                service, source=source(), sink=StallingSink(),
-                max_pending=4)),
-            daemon=True)
-        thread.start()
+        thread, outcome = self._serve_in_thread(source(), StallingSink(),
+                                                workers=2)
         # The writer is stuck on the first response; the reader may
-        # admit at most max_pending queued responses (plus the one in
+        # admit at most 4 × workers queued responses (plus the one in
         # the writer's hands and one in its own) before stalling.
         deadline = time.monotonic() + 5
-        while time.monotonic() < deadline and len(produced) < 6:
+        while time.monotonic() < deadline and len(produced) < 10:
             time.sleep(0.01)
         time.sleep(0.2)  # give a runaway reader time to overshoot
         stalled_at = len(produced)
@@ -514,12 +593,32 @@ class TestStdioBackpressure:
         gate.set()
         thread.join(timeout=30)
         assert not thread.is_alive()
-        service.close()
-        assert done == [total]
+        assert outcome == {"written": total}
         assert len(consumed) == total
 
-    def test_max_pending_must_be_positive(self):
-        with SolverService() as service:
-            with pytest.raises(ReproError, match="max_pending"):
-                serve_stdio(service, source=iter([]), sink=io.StringIO(),
-                            max_pending=0)
+    def test_failing_sink_stops_the_reader(self):
+        """A sink that raises (a closed pipe) must not leave the reader
+        blocked on the bounded queue: the stream stops early and the
+        sink's error propagates."""
+        total = 40
+        lines = _stream("hom", total, seed=13)
+        produced = []
+
+        class ClosedPipe:
+            def write(self, text: str) -> None:
+                raise BrokenPipeError("consumer went away")
+
+            def flush(self) -> None:
+                pass
+
+        def source():
+            for line in lines:
+                produced.append(line)
+                yield line + "\n"
+
+        thread, outcome = self._serve_in_thread(source(), ClosedPipe(),
+                                                workers=1)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert isinstance(outcome.get("error"), BrokenPipeError)
+        assert len(produced) < total
