@@ -93,7 +93,8 @@ def construct_good_basis(
     verified before returning.  All counting runs under ``session``
     (or an adopted ``engine``; default: the process-wide session).
     """
-    engine = resolve_session(session, engine).engine
+    session = resolve_session(session, engine)
+    engine = session.engine
     rng = rng or random.Random(0x5EED)
     ambient = _ambient_schema(components, query, irrelevant_views)
     k = len(components)
@@ -115,7 +116,8 @@ def construct_good_basis(
 
     # ------------------------------------------------------------- Step 1
     distinguishers = find_distinguishers(
-        components, ambient, rng=rng, budget=distinguisher_budget, engine=engine
+        components, ambient, rng=rng, budget=distinguisher_budget,
+        session=session,
     )
 
     # ------------------------------------------------------------- Step 2

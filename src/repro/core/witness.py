@@ -87,8 +87,8 @@ class CounterexamplePair:
         """``(w_i(D))_i`` and ``(w_i(D'))_i`` from the matrix —
         ``w_i(Σ a_j s_j) = Σ a_j M(i,j)`` by Lemma 4(1)/(2)."""
         matrix = self.good_basis.matrix
-        left = matrix.matvec([Fraction(a) for a in self.left_multiplicities])
-        right = matrix.matvec([Fraction(a) for a in self.right_multiplicities])
+        left = matrix.matvec(self.left_multiplicities)
+        right = matrix.matvec(self.right_multiplicities)
         return (tuple(int(v) for v in left), tuple(int(v) for v in right))
 
     def answers(self, query_vector: Sequence[int]) -> Tuple[int, int]:

@@ -68,7 +68,7 @@ property-tested against.
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, FrozenSet, Hashable, List, Tuple
 
 from repro.errors import ReproError
@@ -908,6 +908,42 @@ def _count_sets(plan: SourcePlan, index: TargetIndex,
     return (1 if total else 0) if first_only else total * free_factor
 
 
+def _collect_engine_counters(width_histogram: Dict[int, int]
+                             ) -> Dict[str, int]:
+    """Monotonic registry entries of an engine: the shared module-wide
+    layers (intern / canonical / bitset / budget) plus the engine's
+    exact per-width DP counters — all under the namespaced schema."""
+    interning = intern_stats()
+    canonical = canonical_stats()
+    bitset = bitset_stats()
+    budget = budget_stats()
+    report = {
+        "intern.structures": interning["structures"],
+        "intern.hits": interning["hits"],
+        "canonical.keys": canonical["keys"],
+        "canonical.hits": canonical["hits"],
+        "bitset.propagations": bitset["propagations"],
+        "bitset.fallbacks": bitset["fallbacks"],
+        "dp.packed.fallbacks": bitset["dp_fallbacks"],
+        "budget.exceeded_deadline": budget["exceeded_deadline"],
+        "budget.exceeded_steps": budget["exceeded_steps"],
+        "budget.injected": budget["injected"],
+        "budget.degraded": budget["degraded"],
+    }
+    for width, count in width_histogram.items():
+        report[f"engine.dp.width.{width}"] = count
+    return report
+
+
+def _collect_engine_gauges() -> Dict[str, int]:
+    bitset = bitset_stats()
+    return {
+        "intern.cached": intern_stats()["cached"],
+        "canonical.cached": canonical_stats()["cached"],
+        "dp.packed.peak_entries": bitset["dp_peak_entries"],
+    }
+
+
 class HomEngine:
     """Shared counting engine: compiled targets + canonical memoization.
 
@@ -926,7 +962,7 @@ class HomEngine:
                  "store", "strategy", "width_histogram", "metrics",
                  "_m_hits", "_m_misses", "_m_exists_hits",
                  "_m_exists_misses", "_m_store_hits", "_m_store_misses",
-                 "_m_dp", "_m_backtrack")
+                 "_m_dp", "_m_backtrack", "__weakref__")
 
     def __init__(self, max_counts: int = 16384, max_targets: int = 512,
                  store=None, strategy: str = "auto"):
@@ -964,11 +1000,17 @@ class HomEngine:
         self._m_store_misses = metrics.counter("engine.store.misses")
         self._m_dp = metrics.counter("engine.count.dp")
         self._m_backtrack = metrics.counter("engine.count.backtrack")
-        metrics.gauge("engine.memo.entries", lambda: len(self._counts))
-        metrics.gauge("engine.exists.entries", lambda: len(self._exists))
-        metrics.gauge("engine.targets.compiled", lambda: len(self._targets))
-        metrics.register_collector(self._collect_counters, monotonic=True)
-        metrics.register_collector(self._collect_gauges, monotonic=False)
+        # Gauges and collectors read the engine's containers, never the
+        # engine itself: a registry holding no reference back to its
+        # owner forms no reference cycle, so a dropped engine (and its
+        # memo) is freed at once instead of at the next gen-2 collection.
+        metrics.gauge("engine.memo.entries", self._counts.__len__)
+        metrics.gauge("engine.exists.entries", self._exists.__len__)
+        metrics.gauge("engine.targets.compiled", self._targets.__len__)
+        metrics.register_collector(
+            partial(_collect_engine_counters, self.width_histogram),
+            monotonic=True)
+        metrics.register_collector(_collect_engine_gauges, monotonic=False)
         # Optional persistent second-level cache (duck-typed: anything
         # with ``lookup(component, leaf) -> Optional[int]`` and
         # ``record(component, leaf, count)``; implementations may also
@@ -1012,39 +1054,6 @@ class HomEngine:
     @property
     def backtrack_counts(self) -> int:
         return self._m_backtrack.value
-
-    def _collect_counters(self) -> Dict[str, int]:
-        """Monotonic registry entries sourced from shared module-wide
-        layers (intern / canonical / bitset) plus the exact per-width
-        DP counters — all under the namespaced schema."""
-        interning = intern_stats()
-        canonical = canonical_stats()
-        bitset = bitset_stats()
-        budget = budget_stats()
-        report = {
-            "intern.structures": interning["structures"],
-            "intern.hits": interning["hits"],
-            "canonical.keys": canonical["keys"],
-            "canonical.hits": canonical["hits"],
-            "bitset.propagations": bitset["propagations"],
-            "bitset.fallbacks": bitset["fallbacks"],
-            "dp.packed.fallbacks": bitset["dp_fallbacks"],
-            "budget.exceeded_deadline": budget["exceeded_deadline"],
-            "budget.exceeded_steps": budget["exceeded_steps"],
-            "budget.injected": budget["injected"],
-            "budget.degraded": budget["degraded"],
-        }
-        for width, count in self.width_histogram.items():
-            report[f"engine.dp.width.{width}"] = count
-        return report
-
-    def _collect_gauges(self) -> Dict[str, int]:
-        bitset = bitset_stats()
-        return {
-            "intern.cached": intern_stats()["cached"],
-            "canonical.cached": canonical_stats()["cached"],
-            "dp.packed.peak_entries": bitset["dp_peak_entries"],
-        }
 
     # ------------------------------------------------------------------
     # Compiled targets

@@ -1,10 +1,9 @@
-"""Exact rational matrices.
+"""Exact rational matrices on integer arithmetic.
 
 Everything proof-carrying in this library (span membership for Lemma
-31, nonsingularity for Lemma 40, cone membership for Lemma 55/56) runs
-on exact :class:`fractions.Fraction` arithmetic — the matrices involved
-(radix-``T`` Vandermonde matrices) are catastrophically ill-conditioned
-for floating point.
+31, nonsingularity for Lemma 40, cone membership for Lemma 55/56) is
+exact — the matrices involved (radix-``T`` Vandermonde matrices) are
+catastrophically ill-conditioned for floating point.
 
 :class:`QMatrix` is a small, immutable, dependency-free implementation
 of the handful of operations we need: RREF with pivot tracking, rank,
@@ -12,28 +11,37 @@ determinant, inverse, linear solve, matrix/vector products, and
 nullspace bases.  It is not a general numerics library and does not try
 to be one.
 
-Performance (DESIGN.md §6.5): elimination runs **once** per matrix.
-A single Gauss–Jordan pass over ``[A | I]`` is cached on the instance
-as ``(R, pivots, T)`` with ``T·A = R``; ``rref``/``rank``/``solve``/
-``nullspace``/``inverse`` all read that cache instead of re-eliminating
-(``solve`` applies ``T`` to the right-hand side).  Determinants use
-**fraction-free Bareiss elimination** over scaled integer rows —
-intermediate values stay integers, so the quadratic-blowup gcd
-normalization of Fraction arithmetic never runs.  The textbook
-Fraction-based determinant is kept as :func:`gaussian_det` — it is the
-reference the Bareiss path is property-tested against.
+Representation and performance (DESIGN.md §6.6): a matrix is stored as
+**integer rows with one positive denominator per row** (row ``i`` is
+``num[i] / den[i]``, ``den[i]`` the least common denominator), so the
+hom-count matrices of the pipeline never build a single ``Fraction``
+on the way in.  Elimination runs **once** per matrix: one
+fraction-free Gauss–Jordan pass over ``[num | diag(den)]`` is cached
+as ``(R', pivots, T', p)`` with ``T'·A = R'`` and ``R' = p·RREF(A)``
+(every intermediate division is exact, Bareiss-style, so no gcd
+normalization runs inside the loop).  Scaling a row never changes
+which entries are zero, so the pivots and row swaps are exactly those
+of textbook Gauss–Jordan over the rationals.  ``rref``/``rank``/
+``solve``/``nullspace``/``inverse`` all read that cache; a
+:class:`~fractions.Fraction` is built only for a value that leaves
+the module (an entry, a solution coefficient, a nullspace vector).
+Determinants use Bareiss elimination over the same integer rows; the
+textbook Fraction-based determinant is kept as :func:`gaussian_det`,
+the reference the Bareiss path is property-tested against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import LinalgError
 
 Scalar = Fraction | int
 QVector = Tuple[Fraction, ...]
+IntRow = Tuple[int, ...]
 
 
 def _to_fraction(value) -> Fraction:
@@ -50,6 +58,36 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def scaled_integers(values: Sequence[Scalar]) -> Tuple[int, IntRow]:
+    """``(d, n)`` with ``values[j] == n[j] / d``: ``d > 0`` is the least
+    common denominator, so the form is unique.
+
+    This is the integer form every operation of the module computes
+    on.  Raises :class:`LinalgError` for entries other than int or
+    Fraction.
+    """
+    scale = 1
+    for value in values:
+        if type(value) is int:
+            continue
+        if isinstance(value, Fraction):
+            denominator = value.denominator
+            if scale % denominator:
+                scale = scale // gcd(scale, denominator) * denominator
+        elif not isinstance(value, int):
+            raise LinalgError(
+                f"exact matrices accept int/Fraction entries only, "
+                f"got {type(value).__name__}")
+    if scale == 1:
+        return 1, tuple(v if type(v) is int else v.numerator for v in values)
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
+
+
+def int_dot(left: Sequence[int], right: Sequence[int]) -> int:
+    """``⟨u, v⟩`` of two integer sequences."""
+    return sum(map(mul, left, right))
+
+
 def vector(values: Sequence[Scalar]) -> QVector:
     """Normalize a sequence into a tuple of Fractions."""
     return tuple(_to_fraction(v) for v in values)
@@ -59,8 +97,9 @@ def dot(left: Sequence[Scalar], right: Sequence[Scalar]) -> Fraction:
     """Exact dot product ``⟨u, v⟩``."""
     if len(left) != len(right):
         raise LinalgError(f"dot of lengths {len(left)} and {len(right)}")
-    return sum((_to_fraction(a) * _to_fraction(b) for a, b in zip(left, right)),
-               Fraction(0))
+    left_scale, left_ints = scaled_integers(left)
+    right_scale, right_ints = scaled_integers(right)
+    return Fraction(int_dot(left_ints, right_ints), left_scale * right_scale)
 
 
 class QMatrix:
@@ -73,18 +112,40 @@ class QMatrix:
     (Fraction(-2, 1), Fraction(3, 2))
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_elimination", "_det")
+    __slots__ = ("_den", "_num", "_rows", "nrows", "ncols",
+                 "_elimination", "_det")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
-        normalized: List[QVector] = [vector(row) for row in rows]
-        widths = {len(row) for row in normalized}
+        scaled = [scaled_integers(row) for row in rows]
+        widths = {len(num) for _, num in scaled}
         if len(widths) > 1:
             raise LinalgError(f"ragged rows with widths {sorted(widths)}")
-        self.rows = tuple(normalized)
-        self.nrows = len(self.rows)
-        self.ncols = next(iter(widths)) if widths else 0
+        self._set(scaled, next(iter(widths)) if widths else 0)
+
+    def _set(self, scaled: Sequence[Tuple[int, IntRow]], ncols: int) -> None:
+        self._den: Tuple[int, ...] = tuple(den for den, _ in scaled)
+        self._num: Tuple[IntRow, ...] = tuple(num for _, num in scaled)
+        self._rows: Optional[Tuple[QVector, ...]] = None
+        self.nrows = len(scaled)
+        self.ncols = ncols
         self._elimination = None
         self._det = None
+
+    @classmethod
+    def _from_quotients(cls, rows: Iterable[Tuple[int, Sequence[int]]],
+                        ncols: int) -> "QMatrix":
+        """The matrix whose row ``i`` is ``ints_i / divisor_i`` (each
+        divisor non-zero), normalized to the canonical integer form."""
+        scaled = []
+        for divisor, ints in rows:
+            common = gcd(divisor, *ints)
+            if divisor < 0:
+                common = -common
+            scaled.append((divisor // common,
+                           tuple(value // common for value in ints)))
+        matrix = cls.__new__(cls)
+        matrix._set(scaled, ncols)
+        return matrix
 
     # ------------------------------------------------------------------
     # Constructors
@@ -92,13 +153,13 @@ class QMatrix:
     @staticmethod
     def identity(size: int) -> "QMatrix":
         return QMatrix([
-            [Fraction(1) if i == j else Fraction(0) for j in range(size)]
+            [1 if i == j else 0 for j in range(size)]
             for i in range(size)
         ])
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "QMatrix":
-        return QMatrix([[Fraction(0)] * ncols for _ in range(nrows)])
+        return QMatrix([[0] * ncols for _ in range(nrows)])
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[Scalar]]) -> "QMatrix":
@@ -113,8 +174,18 @@ class QMatrix:
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
+    @property
+    def rows(self) -> Tuple[QVector, ...]:
+        """The entries as Fractions (built on first access)."""
+        if self._rows is None:
+            self._rows = tuple(
+                tuple(Fraction(value, den) for value in num)
+                for den, num in zip(self._den, self._num)
+            )
+        return self._rows
+
     def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
+        return Fraction(self._num[i][j], self._den[i])
 
     def row(self, i: int) -> QVector:
         return self.rows[i]
@@ -138,8 +209,9 @@ class QMatrix:
     def matvec(self, x: Sequence[Scalar]) -> QVector:
         if len(x) != self.ncols:
             raise LinalgError(f"matvec: {self.ncols} columns vs vector of {len(x)}")
-        xs = vector(x)
-        return tuple(dot(row, xs) for row in self.rows)
+        scale, xs = scaled_integers(x)
+        return tuple(Fraction(int_dot(num, xs), den * scale)
+                     for den, num in zip(self._den, self._num))
 
     def matmul(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
@@ -175,54 +247,66 @@ class QMatrix:
     def _eliminate(self):
         """The cached single elimination pass.
 
-        Runs Gauss–Jordan once over ``[A | I]`` and stores
-        ``(reduced_rows, pivots, transform_rows)`` where
-        ``transform · A = reduced`` is the RREF of ``A``.  Every
-        elimination-based operation reads this cache.
+        Runs fraction-free Gauss–Jordan once over ``[num | diag(den)]``
+        and stores ``(reduced, pivots, transform, p)``: after each
+        pivot the whole working matrix equals ``p`` (the current pivot)
+        times the matrix textbook Gauss–Jordan over ``[A | I]`` holds
+        at that point.  By Cramer's rule those entries are integers, so
+        every division below is exact.  Hence ``reduced / p`` is the
+        RREF of ``A`` and ``transform / p`` is its transform
+        (``T·A = RREF``), row for row.
         """
         if self._elimination is None:
             width = self.ncols
             height = self.nrows
-            rows: List[List[Fraction]] = [
-                list(row) + [_ONE if i == j else _ZERO for j in range(height)]
-                for i, row in enumerate(self.rows)
-            ]
+            rows: List[List[int]] = []
+            for i, (den, num) in enumerate(zip(self._den, self._num)):
+                augmented = list(num) + [0] * height
+                augmented[width + i] = den
+                rows.append(augmented)
             pivots: List[int] = []
+            previous = 1
             pivot_row = 0
             for col in range(width):
                 chosen = None
                 for r in range(pivot_row, height):
-                    if rows[r][col] != 0:
+                    if rows[r][col]:
                         chosen = r
                         break
                 if chosen is None:
                     continue
                 rows[pivot_row], rows[chosen] = rows[chosen], rows[pivot_row]
-                pivot_value = rows[pivot_row][col]
-                if pivot_value != 1:
-                    rows[pivot_row] = [v / pivot_value for v in rows[pivot_row]]
+                top = rows[pivot_row]
+                pivot = top[col]
                 for r in range(height):
-                    if r != pivot_row and rows[r][col] != 0:
-                        factor = rows[r][col]
-                        pivot = rows[pivot_row]
-                        rows[r] = [a - factor * b
-                                   for a, b in zip(rows[r], pivot)]
+                    if r == pivot_row:
+                        continue
+                    row = rows[r]
+                    lead = row[col]
+                    if lead:
+                        rows[r] = [(pivot * a - lead * b) // previous
+                                   for a, b in zip(row, top)]
+                    elif pivot != previous:
+                        rows[r] = [pivot * a // previous for a in row]
+                previous = pivot
                 pivots.append(col)
                 pivot_row += 1
                 if pivot_row == height:
                     break
             reduced = tuple(tuple(row[:width]) for row in rows)
             transform = tuple(tuple(row[width:]) for row in rows)
-            self._elimination = (reduced, tuple(pivots), transform)
+            self._elimination = (reduced, tuple(pivots), transform, previous)
         return self._elimination
 
     def rref(self) -> Tuple["QMatrix", Tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
-        reduced, pivots, _ = self._eliminate()
-        return QMatrix(reduced), pivots
+        reduced, pivots, _, scale = self._eliminate()
+        return (QMatrix._from_quotients(((scale, row) for row in reduced),
+                                        self.ncols),
+                pivots)
 
     def rank(self) -> int:
-        _, pivots, _ = self._eliminate()
+        _, pivots, _, _ = self._eliminate()
         return len(pivots)
 
     def det(self) -> Fraction:
@@ -234,20 +318,16 @@ class QMatrix:
         return self._det
 
     def _bareiss_det(self) -> Fraction:
-        """Bareiss' fraction-free algorithm: rows are scaled to
-        integers and every intermediate division is exact, so no
-        Fraction normalization happens in the inner loop."""
+        """Bareiss' fraction-free algorithm over the integer rows: every
+        intermediate division is exact, so no Fraction normalization
+        happens in the inner loop."""
         size = self.nrows
         if size == 0:
             return Fraction(1)
         denominator = 1
-        mat: List[List[int]] = []
-        for row in self.rows:
-            common = 1
-            for value in row:
-                common = common // gcd(common, value.denominator) * value.denominator
-            denominator *= common
-            mat.append([int(value * common) for value in row])
+        for den in self._den:
+            denominator *= den
+        mat: List[List[int]] = [list(num) for num in self._num]
         sign = 1
         previous = 1
         for k in range(size - 1):
@@ -273,15 +353,26 @@ class QMatrix:
         return Fraction(sign * mat[size - 1][size - 1], denominator)
 
     def is_nonsingular(self) -> bool:
-        return self.is_square() and self.det() != 0
+        """Full rank, read off the cached elimination (which
+        :meth:`inverse` and :meth:`scaled_inverse` then reuse)."""
+        return self.is_square() and self.rank() == self.nrows
 
-    def inverse(self) -> "QMatrix":
+    def scaled_inverse(self) -> Tuple[int, Tuple[IntRow, ...]]:
+        """``(d, N)`` with ``d > 0`` and ``N = d·A⁻¹`` integral — the
+        inverse kept on integers for repeated sign tests."""
         if not self.is_square():
             raise LinalgError("inverse of a non-square matrix")
-        _, pivots, transform = self._eliminate()
-        if pivots != tuple(range(self.nrows)):
+        _, pivots, transform, scale = self._eliminate()
+        if len(pivots) != self.nrows:
             raise LinalgError("matrix is singular")
-        return QMatrix(transform)
+        if scale < 0:
+            return -scale, tuple(tuple(-v for v in row) for row in transform)
+        return scale, transform
+
+    def inverse(self) -> "QMatrix":
+        scale, transform = self.scaled_inverse()
+        return QMatrix._from_quotients(((scale, row) for row in transform),
+                                       self.nrows)
 
     def solve(self, b: Sequence[Scalar]) -> Optional[QVector]:
         """A particular solution of ``A x = b``, or ``None`` when
@@ -291,28 +382,28 @@ class QMatrix:
         consistent iff ``(T·b)_i = 0`` on every zero row of ``R``."""
         if len(b) != self.nrows:
             raise LinalgError(f"solve: {self.nrows} rows vs rhs of {len(b)}")
-        bs = vector(b)
-        _, pivots, transform = self._eliminate()
-        transformed = [dot(row, bs) for row in transform]
+        rhs_scale, rhs = scaled_integers(b)
+        _, pivots, transform, scale = self._eliminate()
         for r in range(len(pivots), self.nrows):
-            if transformed[r] != 0:
+            if int_dot(transform[r], rhs):
                 return None  # zero row of R with non-zero rhs: inconsistent
-        solution = [Fraction(0)] * self.ncols
+        divisor = scale * rhs_scale
+        solution = [_ZERO] * self.ncols
         for row_index, col in enumerate(pivots):
-            solution[col] = transformed[row_index]
+            solution[col] = Fraction(int_dot(transform[row_index], rhs), divisor)
         return tuple(solution)
 
     def nullspace(self) -> List[QVector]:
         """A basis of ``{x : A x = 0}``."""
-        reduced, pivots, _ = self._eliminate()
+        reduced, pivots, _, scale = self._eliminate()
         pivot_set = set(pivots)
         free_columns = [j for j in range(self.ncols) if j not in pivot_set]
         basis: List[QVector] = []
         for free in free_columns:
-            candidate = [Fraction(0)] * self.ncols
-            candidate[free] = Fraction(1)
+            candidate = [_ZERO] * self.ncols
+            candidate[free] = _ONE
             for row_index, pivot_col in enumerate(pivots):
-                candidate[pivot_col] = -reduced[row_index][free]
+                candidate[pivot_col] = Fraction(-reduced[row_index][free], scale)
             basis.append(tuple(candidate))
         return basis
 
@@ -322,10 +413,10 @@ class QMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self._den, self._num))
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -335,15 +426,11 @@ class QMatrix:
 
     def to_int_rows(self) -> List[List[int]]:
         """Rows as ints; raises when any entry is non-integral."""
-        result = []
-        for row in self.rows:
-            ints = []
-            for value in row:
-                if value.denominator != 1:
-                    raise LinalgError(f"entry {value} is not an integer")
-                ints.append(value.numerator)
-            result.append(ints)
-        return result
+        for den, num in zip(self._den, self._num):
+            if den != 1:
+                value = next(Fraction(v, den) for v in num if v % den)
+                raise LinalgError(f"entry {value} is not an integer")
+        return [list(num) for num in self._num]
 
 
 def gaussian_det(matrix: QMatrix) -> Fraction:

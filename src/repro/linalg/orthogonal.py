@@ -36,8 +36,7 @@ def orthogonal_witness(
     if any(len(g) != width for g in generators):
         raise ValueError("generator/target dimension mismatch")
     if generators:
-        matrix = QMatrix([vector(g) for g in generators])
-        complement = matrix.nullspace()
+        complement = QMatrix(generators).nullspace()
     else:
         complement = list(QMatrix.identity(width).rows)
     for candidate in complement:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from repro.linalg.matrix import QMatrix, QVector, vector
+from repro.linalg.matrix import QMatrix, QVector, scaled_integers, vector
 
 
 def span_coefficients(
@@ -29,15 +29,15 @@ def span_coefficients(
     >>> span_coefficients([[1, 1]], [1, 2]) is None
     True
     """
-    target_vec = vector(target)
     if not generators:
-        return () if all(v == 0 for v in target_vec) else None
-    width = len(target_vec)
+        _, target_ints = scaled_integers(target)
+        return None if any(target_ints) else ()
+    width = len(target)
     if any(len(g) != width for g in generators):
         raise ValueError("generator/target dimension mismatch")
     # Solve  G^T α = target  where generators are rows of G.
-    matrix = QMatrix.from_columns([vector(g) for g in generators])
-    return matrix.solve(target_vec)
+    matrix = QMatrix.from_columns(generators)
+    return matrix.solve(target)
 
 
 def in_span(generators: Sequence[Sequence], target: Sequence) -> bool:

@@ -38,12 +38,50 @@ explicitly::
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional
 
 from repro.errors import ReproError
 from repro.faults.budget import Budget
 from repro.hom.engine import STRATEGIES, HomEngine
 from repro.obs.metrics import MetricsRegistry
+
+
+# stats() key -> metric name, per kind.  The tier/flush/shard keys only
+# appear when the attached store is the tiered one; the single-file
+# store's stats simply lack them, so the mapping is shared by both
+# store classes.
+_STORE_COUNTER_METRICS = {
+    "lookups": "store.lookups",
+    "lookup_hits": "store.lookup_hits",
+    "inserts": "store.inserts",
+    "corruptions": "store.corruptions",
+    "retries": "store.retries",
+    "tier_hits": "store.tier.hits",
+    "tier_misses": "store.tier.misses",
+    "tier_evictions": "store.tier.evictions",
+    "flush_batches": "store.flush.batches",
+    "flush_rows": "store.flush.rows",
+    "shard_opens": "store.shard.opens",
+}
+_STORE_GAUGE_METRICS = {
+    "counts": "store.counts",
+    "exists": "store.exists",
+    "tier_entries": "store.tier.entries",
+    "shards": "store.shards",
+}
+
+
+def _store_metrics(engine: HomEngine, names: Dict[str, str]
+                   ) -> Dict[str, int]:
+    """The ``stats()`` entries of the store *currently* attached to
+    ``engine``, under their metric names."""
+    stats = getattr(engine.store, "stats", None)
+    if stats is None:
+        return {}
+    report = stats()
+    return {name: report[key] for key, name in names.items()
+            if key in report}
 
 
 class SolverSession:
@@ -170,10 +208,15 @@ class SolverSession:
         self._m_task_errors = metrics.counter("session.tasks.errors")
         self._m_budget_exceeded = \
             metrics.counter("session.tasks.budget_exceeded")
-        metrics.register_collector(self._collect_store_counters,
-                                   monotonic=True)
-        metrics.register_collector(self._collect_store_gauges,
-                                   monotonic=False)
+        # The collectors read the engine, not the session, so the
+        # registry holds no reference back to the session (no cycle:
+        # a dropped session is freed at once, memo included).
+        metrics.register_collector(
+            partial(_store_metrics, self.engine, _STORE_COUNTER_METRICS),
+            monotonic=True)
+        metrics.register_collector(
+            partial(_store_metrics, self.engine, _STORE_GAUGE_METRICS),
+            monotonic=False)
         metrics.attach(self.engine.metrics)
         self._closed = False
 
@@ -189,49 +232,6 @@ class SolverSession:
     @property
     def tasks_budget_exceeded(self) -> int:
         return self._m_budget_exceeded.value
-
-    def _store_stats(self) -> Dict[str, int]:
-        store = self.engine.store
-        if store is None:
-            return {}
-        stats = getattr(store, "stats", None)
-        return stats() if stats else {}
-
-    # stats() key -> metric name, per kind.  The tier/flush/shard keys
-    # only appear when the attached store is the tiered one; the
-    # single-file store's stats simply lack them, so the mapping is
-    # shared by both store classes.
-    _STORE_COUNTER_METRICS = {
-        "lookups": "store.lookups",
-        "lookup_hits": "store.lookup_hits",
-        "inserts": "store.inserts",
-        "corruptions": "store.corruptions",
-        "retries": "store.retries",
-        "tier_hits": "store.tier.hits",
-        "tier_misses": "store.tier.misses",
-        "tier_evictions": "store.tier.evictions",
-        "flush_batches": "store.flush.batches",
-        "flush_rows": "store.flush.rows",
-        "shard_opens": "store.shard.opens",
-    }
-    _STORE_GAUGE_METRICS = {
-        "counts": "store.counts",
-        "exists": "store.exists",
-        "tier_entries": "store.tier.entries",
-        "shards": "store.shards",
-    }
-
-    def _collect_store_counters(self) -> Dict[str, int]:
-        stats = self._store_stats()
-        return {name: stats[key]
-                for key, name in self._STORE_COUNTER_METRICS.items()
-                if key in stats}
-
-    def _collect_store_gauges(self) -> Dict[str, int]:
-        stats = self._store_stats()
-        return {name: stats[key]
-                for key, name in self._STORE_GAUGE_METRICS.items()
-                if key in stats}
 
     # ------------------------------------------------------------------
     # Counting facade (the operations consumers actually perform)

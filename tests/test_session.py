@@ -275,3 +275,45 @@ class TestDefaultEngineShim:
         result = decide_bag_determinacy(views, query, engine=engine)
         assert result.session.engine is engine
         assert engine.exists_misses > 0
+
+
+class TestLifetime:
+    def test_dropped_session_is_freed_without_the_cycle_collector(self):
+        """The session's and engine's metrics registries hold no
+        reference back to their owners, so dropping the last reference
+        frees the engine and its memo at once."""
+        import gc
+        import weakref
+
+        from repro.batch.runner import evaluate_line
+        from repro.batch.scenarios import generate_scenario
+        from repro.batch.tasks import canonical_json
+
+        line = canonical_json(generate_scenario("cq-witness", 1, seed=3)[0])
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            session = SolverSession()
+            assert '"ok":true' in evaluate_line(line, session)
+            assert session.stats(flat=True)["session.tasks.evaluated"] == 1
+            engine = weakref.ref(session.engine)
+            del session
+            assert engine() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_witness_construction_opens_no_extra_session(self, monkeypatch):
+        views, query = _undetermined_instance()
+        session = SolverSession()
+        result = decide_bag_determinacy(views, query, session=session)
+        opened = []
+        original = SolverSession.__init__
+
+        def counting_init(self, *args, **kwargs):
+            opened.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SolverSession, "__init__", counting_init)
+        assert construct_counterexample(result).verify(session.engine).ok
+        assert opened == []

@@ -109,3 +109,25 @@ class TestWitnessInternals:
         result = decide_bag_determinacy([query], query)
         with pytest.raises(DecisionError):
             construct_counterexample(result)
+
+
+def test_first_valid_parameter_far_below_the_old_cap():
+    """cq-00240 of ``batch gen --kind cq-witness --count 400 --seed 3``:
+    the cone coefficients move so fast near ``t = 1`` that the Lemma 57
+    walk first succeeds at ``t = 1 + 2^-56`` (a Fraction walk agrees).
+    The walk used to stop at ``2^-40`` and report a LinalgError; it now
+    answers with a verified witness."""
+    import json
+    from fractions import Fraction
+
+    from repro.batch.runner import evaluate_line
+    from repro.batch.scenarios import generate_scenario
+    from repro.batch.tasks import canonical_json
+    from repro.session import SolverSession
+
+    task = generate_scenario("cq-witness", 241, seed=3)[240]
+    assert task["id"] == "cq-00240"
+    record = json.loads(evaluate_line(canonical_json(task), SolverSession()))
+    assert record["ok"] and not record["determined"]
+    assert record["witness"]["verified"] is True
+    assert Fraction(record["witness"]["parameter"]) == 1 + Fraction(1, 2 ** 56)
