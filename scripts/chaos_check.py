@@ -8,10 +8,10 @@ run asserts, against a single seeded :class:`repro.faults.FaultPlan`:
   (``os._exit`` mid-chunk); the supervisor restarts the pool, bisects
   the chunk and quarantines exactly that task, and every surviving
   result is byte-identical to a fault-free run;
-* **store corruption** — an injected ``sqlite3.DatabaseError`` on the
-  first store lookup quarantines the damaged file to
-  ``<path>.corrupt-<ts>`` and recreates the schema, without failing a
-  single task;
+* **store corruption** — an injected ``sqlite3.DatabaseError`` on
+  each worker's first store lookup quarantines the probed shard file
+  to ``<cache>/shard-NNN.sqlite.corrupt-<ts>`` and recreates its
+  schema, without failing a single task;
 * **connect flaps** — two injected connection refusals against a live
   daemon are absorbed by the client's retry/backoff loop;
 * **deadlines** — a pinned adversarial request (``K7 → K25`` under
@@ -68,9 +68,9 @@ def check_batch_under_faults(workdir: str) -> None:
 
     clean_out = os.path.join(workdir, "clean.jsonl")
     run_batch(tasks, clean_out, workers=2, chunk_size=3,
-              cache_path=os.path.join(workdir, "clean-cache.sqlite"))
+              cache_path=os.path.join(workdir, "clean-cache"))
 
-    chaos_cache = os.path.join(workdir, "chaos-cache.sqlite")
+    chaos_cache = os.path.join(workdir, "chaos-cache")
     chaos_out = os.path.join(workdir, "chaos.jsonl")
     plan = {
         "seed": CHAOS_SEED,
@@ -101,10 +101,11 @@ def check_batch_under_faults(workdir: str) -> None:
             fail(f"survivor {identifier} differs between clean and "
                  f"chaos runs")
 
-    corpses = glob.glob(chaos_cache + ".corrupt-*")
+    quarantine = os.path.join(chaos_cache, "shard-*.sqlite.corrupt-*")
+    corpses = glob.glob(quarantine)
     if not corpses:
-        fail("injected store corruption left no quarantined "
-             f"{chaos_cache}.corrupt-* file")
+        fail(f"injected store corruption left no quarantined {quarantine} "
+             f"file")
     print(f"chaos check: batch OK — 1 task quarantined, "
           f"{summary['worker_restarts']} worker restart(s), "
           f"{len(corpses)} corrupt store file(s) quarantined, "

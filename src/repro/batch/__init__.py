@@ -7,17 +7,18 @@ reproducible byte-for-byte regardless of worker count.
 
 * :mod:`repro.batch.tasks` — the serializable task codec (JSONL).
 * :mod:`repro.batch.scenarios` — seeded random instance families.
-* :mod:`repro.batch.cache` — the SQLite hom-count store the engine
-  consults across processes.
+* :mod:`repro.batch.store` — the persistent hom-count store the engine
+  consults across processes (:class:`TieredHomStore`: an LRU memory
+  tier over hash-partitioned SQLite shard files in one directory).
 * :mod:`repro.batch.runner` — chunked multiprocessing evaluation with
   deterministic result ordering and resume support.
 
-CLI: ``repro batch gen`` / ``repro batch run`` / ``repro batch cache``.
+CLI: ``repro batch gen`` / ``repro batch run`` / ``repro cache …``.
 """
 
-from repro.batch.cache import SQLiteHomStore
 from repro.batch.runner import evaluate_task, iter_results, run_batch
 from repro.batch.scenarios import SCENARIO_KINDS, generate_scenario, write_scenario
+from repro.batch.store import TieredHomStore
 from repro.batch.tasks import (
     BatchCodecError,
     DecodedTask,
@@ -35,7 +36,7 @@ __all__ = [
     "BatchCodecError",
     "DecodedTask",
     "SCENARIO_KINDS",
-    "SQLiteHomStore",
+    "TieredHomStore",
     "decode_task",
     "encode_task",
     "evaluate_task",

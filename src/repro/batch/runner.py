@@ -5,7 +5,7 @@ of result lines, optionally sharded across worker processes::
 
     from repro.batch import runner
     for line in runner.iter_results(open("tasks.jsonl"), workers=4,
-                                    cache_path="homcache.sqlite"):
+                                    cache_path="homcache"):
         print(line)
 
 Guarantees
@@ -23,7 +23,7 @@ Workers are plain ``multiprocessing`` processes (``fork`` start method
 when the platform has it, so they inherit the loaded library for free).
 Each worker owns a private :class:`~repro.session.SolverSession`
 whose engine is attached to the shared on-disk store
-(:mod:`repro.batch.cache`), and warm-starts its in-memory memo from
+(:mod:`repro.batch.store`), and warm-starts its in-memory memo from
 that store, so hom counts are computed once per machine rather than
 once per process.  The long-running request service
 (:mod:`repro.service`) reuses :func:`evaluate_line` with *its* session,
@@ -447,10 +447,11 @@ def iter_results(
     ``workers <= 1`` runs inline (no subprocesses); otherwise a pool of
     ``workers`` processes shards the stream in chunks of ``chunk_size``
     tasks.  ``cache_path`` names the shared persistent hom-count store
-    (a directory — or ``shards``/``memory_tier`` set — selects the
-    sharded tiered store; each worker opens only the shard files its
-    keys hash into); ``preload`` bounds how many stored counts each
-    worker seeds into its in-memory memo at startup.  An explicit ``session`` (inline
+    (a :class:`~repro.batch.store.TieredHomStore` directory, partitioned
+    into ``shards`` files when created, with a ``memory_tier``-entry
+    LRU tier; each worker opens only the shard files its keys hash
+    into); ``preload`` bounds how many stored counts each worker seeds
+    into its in-memory memo at startup.  An explicit ``session`` (inline
     mode only — worker processes own their sessions) evaluates the
     stream under caller-owned state: the request service passes its
     resident session here so memo and store stay warm across streams.
@@ -467,6 +468,17 @@ def iter_results(
     in every worker — the chaos lane's handle.
     """
     chunk_size = max(1, chunk_size)
+    if workers > 1 and cache_path is not None:
+        from repro.batch.store import TieredHomStore
+
+        # The pool parent creates (or migrates) the store and every
+        # shard file once, before any worker opens it: workers never
+        # race on the layout, their write path stays pure row inserts,
+        # and a fault that corrupts a first probe finds a real file to
+        # quarantine.
+        with TieredHomStore(cache_path, shards=shards,
+                            memory_tier=memory_tier) as store:
+            store.ensure_shards()
     previous_plan = None
     if fault_plan is not None:
         previous_plan = install_fault_plan(FaultPlan(fault_plan))

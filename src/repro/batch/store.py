@@ -1,10 +1,12 @@
-"""The tiered, sharded hom store (schema v3).
+"""The persistent hom store: tiered, sharded, schema v3.
 
-:class:`~repro.batch.cache.SQLiteHomStore` (schema v2) is one WAL
-file: every lookup is a synchronous disk probe behind one service
-lock, every record an eager write, and N resident replicas cannot
-share state without queueing on a single writer.  This module is the
-scale-out replacement — one store object, three tiers:
+:class:`~repro.hom.engine.HomEngine` memoizes ``|hom(component, leaf)|``
+counts and Chandra–Merlin existence probes per process; a batch run
+over thousands of instances drawn from a small component pool would
+recompute the same answers in every fresh process.  This module is the
+missing layer: a store the engine consults on in-memory misses (see
+``HomEngine.store``), so each answer is computed **once per machine**,
+not once per process.  One store object, three tiers:
 
 1. **Memory tier** (:class:`MemoryTier`) — a bounded LRU dict keyed by
    ``(table, canonical_key, target_hash)``.  Hot lookups are answered
@@ -13,12 +15,9 @@ scale-out replacement — one store object, three tiers:
 2. **Shard tier** — ``shards`` SQLite files under one directory,
    hash-partitioned on the first bytes of the source's
    :func:`~repro.structures.canonical.canonical_key` (``crc32`` of the
-   key prefix, deterministic across processes and hash seeds).  Each
-   shard carries the v2 table layout stamped ``PRAGMA user_version=3``
-   and is opened lazily — a batch worker touches only the shards its
-   keys hash into (``store.shard.opens`` counts real opens).  The
-   self-healing corruption path is per shard: a damaged shard file is
-   quarantined and rebuilt while its siblings keep serving.
+   key prefix, deterministic across processes and hash seeds).  Shards
+   are opened lazily — a batch worker touches only the shards its keys
+   hash into (``store.shard.opens`` counts real opens).
 3. **Write-behind buffer** — records are queued per shard and
    published in one ``INSERT OR IGNORE`` transaction per shard when a
    shard's queue reaches ``flush_every`` rows, when
@@ -30,24 +29,49 @@ Layout on disk::
 
     <path>/                     # the store is a directory
         meta.json               # {"schema_version": 3, "shards": N}
-        shard-000.sqlite        # v2 tables, user_version=3
+        shard-000.sqlite        # tables below, user_version=3
         shard-001.sqlite
         ...
 
-Migration: opening a ``path`` that is an existing **v2 single file**
-performs the one-shot v2→v3 migration — the file is moved aside to
-``<path>.v2-backup``, the shard directory is created at ``path``, and
-every row is re-published into its shard (recency order preserved, so
-``preload`` keeps serving the most recently recorded rows first).
-Legacy (pre-v2) and future-versioned files are refused with
-:class:`~repro.batch.cache.StoreFormatError`, exactly like the
-single-file store.
+Each shard holds three tables: ``targets`` (``hash -> canonical JSON``
+of every distinct counting target, stored once), ``hom_counts`` (exact
+counts) and ``hom_exists`` (existence verdicts), the last two keyed by
+``src`` — the source's canonical key, a complete isomorphism invariant
+identical in every process for every member of the iso class — and
+``target`` — the target's hash.  A lookup is one primary-key probe, and
+no source payload is stored at all, so sources whose constants fall
+outside the JSON wire format persist fine (only the *target* needs a
+JSON form).  Counts are decimal text: hom counts routinely exceed
+64-bit range and SQLite integers would silently lose them.
+
+Concurrency: shard files run under WAL journaling and rows are
+published with ``INSERT OR IGNORE``, so concurrent processes sharing
+one directory never corrupt it and at worst recompute an answer
+another process was about to publish.  Contention degrades to a miss
+(or a dropped write-behind batch), never a blocked request.
+
+Self-healing: the store is a cache, so a damaged file is never worth
+failing a batch over.  Any corruption SQLite reports ("database disk
+image is malformed", "file is not a database") quarantines *that
+shard's* file to ``<shard>.corrupt-<ts>``, recreates its schema and
+retries the operation once, while every sibling shard keeps serving.
+
+Migration: a ``path`` holding a **v2 single file** (the store layout
+before sharding: the same three tables in one file, ``user_version=2``)
+is migrated in one shot on open — the file is validated in place, moved
+aside to ``<path>.v2-backup``, the shard directory is created at
+``path``, and every row is re-published into its shard (recency order
+preserved, so ``preload`` keeps serving the most recently recorded rows
+first).  Pre-canonical (WL-digest keyed) and future-versioned
+files are refused with :class:`StoreFormatError` and left untouched at
+``path``; a file SQLite cannot read at all is quarantined like a
+damaged shard and the store starts empty.
 
 Tooling (``repro cache merge|compact|warm-pack``) is built on the
-row-level surface both store classes share: :meth:`iter_rows` /
-:meth:`record_row` move answers between stores without decoding any
-source structure (the canonical key *is* the identity), and
-:func:`export_warm_pack` / :func:`import_warm_pack` ship a compact
+row-level surface: :meth:`TieredHomStore.iter_rows` /
+:meth:`TieredHomStore.record_row` move answers between stores without
+decoding any source structure (the canonical key *is* the identity),
+and :func:`export_warm_pack` / :func:`import_warm_pack` ship a compact
 JSONL pack of the most recently recorded answers that
 ``repro serve start --preload-pack`` feeds into a fresh replica's
 store tiers.
@@ -55,6 +79,7 @@ store tiers.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sqlite3
@@ -71,19 +96,11 @@ from repro.structures.serialization import (
     structure_to_dict,
 )
 from repro.structures.structure import Structure
-from repro.batch.cache import (
-    _COUNTS,
-    _EXISTS,
-    _SCHEMA,
-    SQLiteHomStore,
-    StoreFormatError,
-    _digest,
-    _is_corruption,
-)
 from repro.batch.tasks import canonical_json
 
 _T = TypeVar("_T")
 
+SCHEMA_VERSION_V2 = 2
 SCHEMA_VERSION_V3 = 3
 DEFAULT_SHARDS = 8
 DEFAULT_MEMORY_TIER = 8192
@@ -93,12 +110,135 @@ DEFAULT_FLUSH_INTERVAL_S = 2.0
 META_NAME = "meta.json"
 _SHARD_NAME = "shard-{:03d}.sqlite"
 
+_COUNTS = "hom_counts"
+_EXISTS = "hom_exists"
+
+_SCHEMA = (
+    """
+    CREATE TABLE IF NOT EXISTS targets (
+        hash TEXT PRIMARY KEY,
+        json TEXT NOT NULL
+    )
+    """,
+    f"""
+    CREATE TABLE IF NOT EXISTS {_COUNTS} (
+        src    BLOB NOT NULL,
+        target TEXT NOT NULL,
+        value  TEXT NOT NULL,
+        PRIMARY KEY (src, target)
+    )
+    """,
+    f"""
+    CREATE TABLE IF NOT EXISTS {_EXISTS} (
+        src    BLOB NOT NULL,
+        target TEXT NOT NULL,
+        value  TEXT NOT NULL,
+        PRIMARY KEY (src, target)
+    )
+    """,
+)
+
 # Warm-pack line kinds: a target line introduces the next target index,
 # count/exists lines reference targets by that index.
 _PACK_FORMAT = "repro-warm-pack"
 _PACK_VERSION = 1
 _PACK_TABLE_TAGS = {_COUNTS: "c", _EXISTS: "e"}
 _PACK_TAG_TABLES = {tag: table for table, tag in _PACK_TABLE_TAGS.items()}
+
+
+class StoreFormatError(ReproError):
+    """A store whose on-disk schema this version cannot serve."""
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# The messages SQLite reports for a damaged file.  ``DatabaseError``
+# raised as the *base* class is corruption too ("database disk image is
+# malformed" surfaces that way); its OperationalError subclass usually
+# means contention, which has its own (skip, don't heal) handling.
+_CORRUPTION_MARKERS = ("malformed", "not a database", "corrupt")
+
+
+def _is_corruption(exc: sqlite3.Error) -> bool:
+    """Is this SQLite error a damaged file (as opposed to contention)?"""
+    if not isinstance(exc, sqlite3.DatabaseError):
+        return False
+    if type(exc) is sqlite3.DatabaseError:
+        return True
+    message = str(exc).lower()
+    return any(marker in message for marker in _CORRUPTION_MARKERS)
+
+
+def _move_aside(path: str, suffix: str) -> str:
+    """Rename ``path`` (and its WAL sidecars) to the first free
+    ``<path><suffix>[.N]``; returns the new name.  Raises
+    :class:`OSError` when ``path`` itself cannot be moved."""
+    destination = path + suffix
+    counter = 0
+    while os.path.exists(destination):
+        counter += 1
+        destination = f"{path}{suffix}.{counter}"
+    os.replace(path, destination)
+    for sidecar in ("-wal", "-shm"):
+        try:
+            os.replace(path + sidecar, destination + sidecar)
+        except OSError:
+            pass
+    return destination
+
+
+def _check_v2_file(connection: sqlite3.Connection) -> None:
+    """Refuse a single-file store the v2→v3 migration cannot read.
+
+    ``user_version`` 0 is ambiguous: both a brand-new file and the
+    first, pre-versioning store layout report it, so the presence of the
+    old ``inv`` column is what distinguishes a legacy store — its rows
+    are keyed by WL-digest buckets that canonical-key lookups would
+    silently never hit.
+    """
+    version = connection.execute("PRAGMA user_version").fetchone()[0]
+    if version == SCHEMA_VERSION_V2:
+        return
+    if version == 0:
+        legacy = connection.execute(
+            "SELECT name FROM pragma_table_info(?) WHERE name='inv'",
+            (_COUNTS,),
+        ).fetchone()
+        if legacy is None:
+            return  # fresh (or at least inv-free) file: nothing to refuse
+        raise StoreFormatError(
+            "hom store uses the pre-canonical-key layout (rows keyed "
+            "by invariant digests); its keys cannot be served by this "
+            "version — delete the file and let the store rebuild, or "
+            "re-run the batch that produced it")
+    raise StoreFormatError(
+        f"hom store has schema version {version}, this build migrates "
+        f"single files of version {SCHEMA_VERSION_V2}; refusing to read "
+        f"keys that would silently never match")
+
+
+def _v2_rows(path: str) -> Iterator[Tuple[str, bytes, str, str]]:
+    """``(table, src_key, target_json, value)`` for every row of a v2
+    single file (already passed :func:`_check_v2_file`), table by table
+    in rowid (recording) order."""
+    connection = sqlite3.connect(path, timeout=30.0)
+    try:
+        tables = {name for (name,) in connection.execute(
+            "SELECT name FROM sqlite_master WHERE type='table'")}
+        if "targets" not in tables:
+            return
+        for table in (_COUNTS, _EXISTS):
+            if table not in tables:
+                continue
+            for src_key, target_json, value in connection.execute(
+                    f"SELECT h.src, t.json, h.value FROM {table} h "
+                    f"JOIN targets t ON t.hash = h.target "
+                    f"ORDER BY h.rowid"):
+                yield table, bytes(src_key), target_json, value
+    finally:
+        connection.close()
 
 
 def shard_of(key: bytes, shards: int) -> int:
@@ -166,11 +306,10 @@ class MemoryTier:
 class TieredHomStore:
     """Memory tier + hash-partitioned SQLite shards + write-behind.
 
-    Implements the same duck-typed store protocol as
-    :class:`~repro.batch.cache.SQLiteHomStore` (``lookup``/``record``,
-    ``lookup_exists``/``record_exists``, ``preload``, ``flush``,
-    ``close``, ``clear``, ``stats``), so the engine, the session and
-    every CLI verb treat the two interchangeably.
+    Implements the duck-typed store protocol the engine expects
+    (``lookup``/``record``, ``lookup_exists``/``record_exists``), plus
+    ``preload``, ``flush``, ``close``, ``clear`` and ``stats`` for the
+    session, the daemon and every CLI verb.
 
     ``path`` is a directory (created on first open).  An existing v2
     single file at ``path`` is migrated in one shot (see module docs).
@@ -178,12 +317,20 @@ class TieredHomStore:
     the count recorded in ``meta.json`` and refuses a contradicting
     explicit value — resharding is ``repro cache merge`` into a fresh
     store, never a silent rehash that would orphan every existing row.
+    ``memory_tier`` is the LRU tier's capacity in entries (``None``:
+    :data:`DEFAULT_MEMORY_TIER`).
+
+    Connections are opened lazily *per process* (keyed on
+    ``os.getpid``), so a store object created before a ``fork`` never
+    shares an SQLite handle with its children.
     """
 
     def __init__(self, path: str, shards: Optional[int] = None,
-                 memory_tier: int = DEFAULT_MEMORY_TIER,
+                 memory_tier: Optional[int] = None,
                  flush_every: int = DEFAULT_FLUSH_EVERY,
                  flush_interval_s: float = DEFAULT_FLUSH_INTERVAL_S):
+        if shards is not None and shards < 1:
+            raise ReproError(f"shards must be >= 1, got {shards}")
         self.path = path
         self.flush_every = max(1, flush_every)
         self.flush_interval_s = flush_interval_s
@@ -195,35 +342,29 @@ class TieredHomStore:
         self.flush_batches = 0
         self.flush_rows = 0
         self.shard_opens = 0
-        self.tier = MemoryTier(memory_tier)
+        self.tier = MemoryTier(DEFAULT_MEMORY_TIER if memory_tier is None
+                               else memory_tier)
         # (json, sha256) per target Structure; None = unserializable.
         self._target_cache: Dict[Structure,
                                  Optional[Tuple[str, str]]] = {}
         self._owner_pid = os.getpid()
         migrate_from: Optional[str] = None
-        if os.path.isdir(path):
-            self.shards = self._adopt_meta(path, shards)
-        elif os.path.exists(path):
+        if os.path.exists(path) and not os.path.isdir(path):
             # A regular file where the shard directory should be: the
-            # one-shot v2→v3 migration (or a refusal, for legacy and
-            # future formats — _migrate_source_store raises for those).
+            # one-shot v2→v3 migration, or a refusal that leaves the
+            # file where it is.
             try:
-                migrate_from = self._displace_v2_file(path)
-            except FileNotFoundError:
-                # A sibling process won the displace race and is
+                migrate_from = self._claim_file(path)
+            except (FileNotFoundError, sqlite3.OperationalError):
+                # A sibling process claimed the file first and is
                 # building the directory; adopt its layout instead.
                 if not os.path.isdir(path):
                     raise
-                self.shards = self._adopt_meta(path, shards)
-            if migrate_from is not None:
-                self.shards = (shards if shards is not None
-                               else DEFAULT_SHARDS)
-                self._create_dir(path, self.shards)
+        if os.path.isdir(path):
+            self.shards = self._adopt_meta(path, shards)
         else:
             self.shards = shards if shards is not None else DEFAULT_SHARDS
             self._create_dir(path, self.shards)
-        if self.shards < 1:
-            raise ReproError(f"shards must be >= 1, got {self.shards}")
         self._connections: Dict[int, sqlite3.Connection] = {}
         self._file_seen = [False] * self.shards
         self._pending: List[Dict[str, List[Tuple[bytes, str, str]]]] = [
@@ -327,35 +468,45 @@ class TieredHomStore:
         os.makedirs(path, exist_ok=True)
         cls._write_meta(path, shards)
 
-    @staticmethod
-    def _displace_v2_file(path: str) -> str:
-        """Move the single-file store aside so the directory can take
-        its path.  The backup is kept — migration is additive."""
-        backup = f"{path}.v2-backup"
-        suffix = 0
-        while os.path.exists(backup):
-            suffix += 1
-            backup = f"{path}.v2-backup.{suffix}"
-        os.replace(path, backup)
-        for sidecar in ("-wal", "-shm"):
+    def _claim_file(self, path: str) -> Optional[str]:
+        """Validate the single file at ``path`` in place, then move it
+        aside; returns the backup to migrate from.
+
+        A legacy or future-versioned file raises
+        :class:`StoreFormatError` *before* anything moves, so a refused
+        file stays at ``path`` and every later open refuses it again.
+        A file SQLite cannot read at all is quarantined to
+        ``<path>.corrupt-<ts>`` (returns ``None``: the store starts
+        empty).  The backup is kept — migration is additive.
+        """
+        try:
+            connection = sqlite3.connect(path, timeout=30.0)
             try:
-                os.replace(path + sidecar, backup + sidecar)
-            except OSError:
-                pass
-        return backup
+                _check_v2_file(connection)
+            finally:
+                connection.close()
+        except sqlite3.DatabaseError as exc:
+            if not _is_corruption(exc):
+                raise
+            self.corruptions += 1
+            _move_aside(path, f".corrupt-{int(time.time())}")
+            return None
+        return _move_aside(path, ".v2-backup")
 
     def _migrate_source_store(self, source_path: str) -> None:
         """Publish every row of the displaced v2 file into its shard.
 
-        Opening the backup through :class:`SQLiteHomStore` reuses the
-        v2 version guard verbatim: a legacy (pre-canonical-key) or
-        future-versioned file raises :class:`StoreFormatError` here,
-        before the new directory has served a single lookup.
+        Damage deeper in the file than the header check reaches stops
+        the copy there: the rows read so far are served, and the backup
+        keeps the rest for inspection.
         """
-        with SQLiteHomStore(source_path) as legacy:
-            for table in (_COUNTS, _EXISTS):
-                for src_key, target_json, value in legacy.iter_rows(table):
-                    self.record_row(table, src_key, target_json, value)
+        try:
+            for table, src_key, target_json, value in _v2_rows(source_path):
+                self.record_row(table, src_key, target_json, value)
+        except sqlite3.DatabaseError as exc:
+            if not _is_corruption(exc):
+                raise
+            self.corruptions += 1
         self.flush()
 
     # ------------------------------------------------------------------
@@ -408,8 +559,10 @@ class TieredHomStore:
             if not os.path.exists(path):
                 return None
             self._file_seen[index] = True
-        # check_same_thread=False for the same reason as the v2 store:
-        # the request service serializes access under its engine lock.
+        # check_same_thread=False: the request service shares one store
+        # across its executor threads with all access serialized under
+        # its store lock, which is the contract sqlite3 requires for
+        # cross-thread handles.
         connection = sqlite3.connect(path, timeout=30.0,
                                      check_same_thread=False)
         try:
@@ -451,10 +604,11 @@ class TieredHomStore:
     # ------------------------------------------------------------------
     def _guarded(self, index: int, operation: Callable[[], _T],
                  default: _T) -> _T:
-        """Run one shard operation with the v2 store's healing contract,
-        scoped to a single shard: contention degrades to ``default``,
-        corruption quarantines *that shard's* file, rebuilds it and
-        retries once — every sibling shard keeps serving untouched."""
+        """Run one shard operation with self-healing, scoped to a single
+        shard: contention degrades to ``default``, corruption
+        quarantines *that shard's* file, rebuilds it and retries once —
+        every sibling shard keeps serving untouched, and callers keep
+        serving from the in-memory memo no matter what is on disk."""
         for attempt in (0, 1):
             try:
                 return operation()
@@ -479,22 +633,13 @@ class TieredHomStore:
                 connection.close()
             except sqlite3.Error:
                 pass
-        path = self.shard_path(index)
-        stamp = int(time.time())
-        destination = f"{path}.corrupt-{stamp}"
-        suffix = 0
-        while os.path.exists(destination):
-            suffix += 1
-            destination = f"{path}.corrupt-{stamp}.{suffix}"
         try:
-            os.replace(path, destination)
+            _move_aside(self.shard_path(index),
+                        f".corrupt-{int(time.time())}")
         except OSError:
-            return
-        for sidecar in ("-wal", "-shm"):
-            try:
-                os.replace(path + sidecar, destination + sidecar)
-            except OSError:
-                pass
+            # Already quarantined (or never written) — recreating the
+            # schema is still the right next step.
+            pass
 
     # ------------------------------------------------------------------
     # Target serialization (memoized per structure)
@@ -574,7 +719,7 @@ class TieredHomStore:
         # answer lands here), hand-inlined: target entry, LRU insert
         # and shard enqueue are spelled out instead of delegated —
         # the per-record Python call overhead is what the record
-        # benchmark measures against the single-file store.
+        # benchmark measures.
         entry = self._target_cache.get(target)
         if entry is None:
             if target in self._target_cache:
@@ -871,35 +1016,6 @@ class TieredHomStore:
         return (f"TieredHomStore(path={self.path!r}, shards={self.shards}, "
                 f"tier={len(self.tier)}/{self.tier.capacity}, "
                 f"hits={self.lookup_hits}/{self.lookups})")
-
-
-# ----------------------------------------------------------------------
-# Opening the right store for a path
-# ----------------------------------------------------------------------
-def open_store(path: str, shards: Optional[int] = None,
-               memory_tier: Optional[int] = None,
-               flush_every: Optional[int] = None):
-    """The store object a ``store_path`` (plus knobs) denotes.
-
-    * an existing **directory** is a sharded v3 store (the knobs may
-      refine tier capacity; an explicit mismatched shard count is
-      refused by the meta guard);
-    * any path with ``shards``/``memory_tier`` set opts into the v3
-      layout — an existing v2 file at that path is migrated in one
-      shot;
-    * otherwise the legacy single-file v2 store, byte-compatible with
-      every pre-existing deployment.
-    """
-    if os.path.isdir(path) or shards is not None or memory_tier is not None:
-        knobs: Dict[str, object] = {"shards": shards}
-        if memory_tier is not None:
-            knobs["memory_tier"] = memory_tier
-        if flush_every is not None:
-            knobs["flush_every"] = flush_every
-        return TieredHomStore(path, **knobs)
-    if flush_every is not None:
-        return SQLiteHomStore(path, flush_every=flush_every)
-    return SQLiteHomStore(path)
 
 
 # ----------------------------------------------------------------------

@@ -328,15 +328,15 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
     }
 
     # -------------------------------------------------- hom_bitset
-    # E19: the bit-parallel kernels against their set-domain ablation
-    # twins — same compiled plans, same target, so the measured gap is
-    # purely the representation (int bitmask domains + packed int DP
-    # keys vs frozenset domains + tuple keys).  Sources are cheap
+    # E19: the bitset backtracker against its set-domain ablation twin
+    # — same compiled plans, same target, so the measured gap is purely
+    # the representation (int bitmask domains vs frozenset domains) —
+    # plus the packed DP on the same plans.  Sources are cheap
     # bounded-treewidth shapes (a 2×3 grid, a 5-edge chain, two
     # triangles glued at a vertex) into a dense 6-element target; all
-    # four kernels are cross-checked against the direct counter before
+    # three kernels are cross-checked against the direct counter before
     # timing.
-    from repro.hom.dpcount import _count_plan_dp_sets, count_plan_dp
+    from repro.hom.dpcount import count_plan_dp
     from repro.hom.engine import _count_bitset, _count_sets
 
     dense6 = Structure(
@@ -358,7 +358,6 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
         assert _count_bitset(bitset_plan, bitset_index, False) == truth_bits
         assert _count_sets(bitset_plan, bitset_index, False) == truth_bits
         assert count_plan_dp(bitset_plan, bitset_index) == truth_bits
-        assert _count_plan_dp_sets(bitset_plan, bitset_index) == truth_bits
 
     bt_bitset = _timeit(lambda: [_count_bitset(p, bitset_index, False)
                                  for p in bitset_plans], repeat)
@@ -366,16 +365,12 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
                                for p in bitset_plans], repeat)
     dp_bitset = _timeit(lambda: [count_plan_dp(p, bitset_index)
                                  for p in bitset_plans], repeat)
-    dp_sets = _timeit(lambda: [_count_plan_dp_sets(p, bitset_index)
-                               for p in bitset_plans], repeat)
     workloads["hom_bitset"] = {
         "backtrack_set_s": bt_sets,
         "backtrack_bitset_s": bt_bitset,
         "speedup_backtrack": bt_sets / bt_bitset
         if bt_bitset else float("inf"),
-        "dp_set_s": dp_sets,
         "dp_bitset_s": dp_bitset,
-        "speedup_dp": dp_sets / dp_bitset if dp_bitset else float("inf"),
     }
 
     # -------------------------------------------------- service_throughput
@@ -448,28 +443,22 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
     }
 
     # -------------------------------------------------- store_tiered
-    # E20: the sharded tiered store vs the single-file PR 8 store,
-    # store layer in isolation (the duck-typed protocol both classes
-    # serve the engine through).  Sources are distinct small path
-    # shapes (every R/S word up to length 9) against two
+    # E20: the tiered store in isolation, through the duck-typed
+    # protocol it serves the engine with.  Sources are distinct small
+    # path shapes (every R/S word up to length 9) against two
     # database-sized targets — the regime the paper's queries live in
-    # (small patterns, large instances), and the one where the single
-    # file's per-record target digest and per-record target-row
-    # re-queueing dominate: both costs scale with the target's JSON
-    # size, which the tiered store pays once per target, not once per
-    # row.  Record throughput times fresh rows flowing into existing
-    # shard files (steady state — file creation and schema DDL happen
-    # once per directory, so they stay outside the timed pass); lookup
-    # throughput times re-probing every key through a warm store (the
-    # tiered store answers from its LRU tier with zero I/O).  Both
-    # stores are verified to return identical values for every key
-    # before timing.
+    # (small patterns, large instances).  Record throughput times fresh
+    # rows flowing into existing shard files (steady state — file
+    # creation and schema DDL happen once per directory, so they stay
+    # outside the timed pass); lookup throughput times re-probing every
+    # key through a warm store (answered from the LRU tier with zero
+    # I/O).  Every key is verified to read back its value before
+    # timing.
     import itertools
     import os as os_module
     import shutil
     import tempfile
 
-    from repro.batch.cache import SQLiteHomStore
     from repro.batch.store import TieredHomStore
 
     store_sources = [
@@ -499,50 +488,30 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
     with tempfile.TemporaryDirectory() as scratch:
         counter = itertools.count()
 
-        def timed_record(make_store) -> float:
+        def timed_record() -> float:
             best = float("inf")
             for _ in range(repeat):
                 path = os_module.path.join(scratch, f"rec{next(counter)}")
-                store = make_store(path)
-                if hasattr(store, "ensure_shards"):
-                    store.ensure_shards()
-                else:
-                    len(store)  # connect + schema DDL, outside the timing
+                store = TieredHomStore(path, shards=4)
+                store.ensure_shards()
                 start = time.perf_counter()
                 record_into(store)
                 best = min(best, time.perf_counter() - start)
                 store.close()
                 shutil.rmtree(path, ignore_errors=True)
-                if os_module.path.exists(path):
-                    os_module.unlink(path)
             return best
 
-        single_record = timed_record(SQLiteHomStore)
-        tiered_record = timed_record(
-            lambda path: TieredHomStore(path, shards=4))
-
-        single_store = SQLiteHomStore(
-            os_module.path.join(scratch, "warm-single"))
+        tiered_record = timed_record()
         tiered_store = TieredHomStore(
             os_module.path.join(scratch, "warm-tiered"), shards=4)
-        record_into(single_store)
         record_into(tiered_store)
-        verify_store(single_store)
         verify_store(tiered_store)
-        single_lookup = _timeit(lambda: lookup_all(single_store), repeat)
         tiered_lookup = _timeit(lambda: lookup_all(tiered_store), repeat)
-        single_store.close()
         tiered_store.close()
 
     workloads["store_tiered"] = {
-        "singlefile_record_s": single_record,
         "tiered_record_s": tiered_record,
-        "speedup_record": single_record / tiered_record
-        if tiered_record else float("inf"),
-        "singlefile_lookup_s": single_lookup,
         "tiered_lookup_s": tiered_lookup,
-        "speedup_lookup": single_lookup / tiered_lookup
-        if tiered_lookup else float("inf"),
         "rows": float(len(store_rows)),
     }
 
@@ -653,9 +622,6 @@ ABLATION_KEYS = frozenset({
     "pairwise_iso_dedup_s",
     "large_target_direct_s",
     "backtrack_set_s",
-    "dp_set_s",
-    "singlefile_record_s",
-    "singlefile_lookup_s",
 })
 
 

@@ -308,13 +308,13 @@ def _cmd_batch_run(args: argparse.Namespace) -> int:
 def _open_cache(path: str):
     import os
 
-    from repro.batch.store import open_store
+    from repro.batch.store import TieredHomStore
 
     if not os.path.exists(path):
-        # Opening would silently create an empty database — a typo'd
-        # path must not be indistinguishable from an empty cache.
+        # Opening would silently create an empty store — a typo'd path
+        # must not be indistinguishable from an empty cache.
         raise ReproError(f"no such cache file: {path}")
-    return open_store(path)
+    return TieredHomStore(path)
 
 
 def _cmd_cache_info(args: argparse.Namespace) -> int:
@@ -325,15 +325,14 @@ def _cmd_cache_info(args: argparse.Namespace) -> int:
             return 0
         print(f"{args.cache}: {info['counts']} persisted hom counts, "
               f"{info['exists']} existence verdicts")
-        if info.get("shards", 1) > 1 or info.get("memory_tier"):
-            tier = info["memory_tier"]
-            print(f"  schema v{info['schema_version']}, "
-                  f"{info['shards']} shards, memory tier "
-                  f"{tier['entries']}/{tier['capacity']} entries")
-            for shard in info["shard_files"]:
-                print(f"  shard {shard['index']:03d}: "
-                      f"{shard['counts']} counts, {shard['exists']} exists, "
-                      f"{shard['bytes']} bytes")
+        tier = info["memory_tier"]
+        print(f"  schema v{info['schema_version']}, "
+              f"{info['shards']} shards, memory tier "
+              f"{tier['entries']}/{tier['capacity']} entries")
+        for shard in info["shard_files"]:
+            print(f"  shard {shard['index']:03d}: "
+                  f"{shard['counts']} counts, {shard['exists']} exists, "
+                  f"{shard['bytes']} bytes")
     return 0
 
 
@@ -345,9 +344,9 @@ def _cmd_cache_flush(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_merge(args: argparse.Namespace) -> int:
-    from repro.batch.store import copy_rows, open_store
+    from repro.batch.store import TieredHomStore, copy_rows
 
-    with open_store(args.into, shards=args.shards) as destination:
+    with TieredHomStore(args.into, shards=args.shards) as destination:
         total = 0
         for source_path in args.sources:
             with _open_cache(source_path) as source:
@@ -622,17 +621,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker processes (1 = run inline)")
     run.add_argument("--cache", default=None, metavar="PATH",
                      help="persistent hom-count store shared by all "
-                          "workers and across runs (a file = single "
-                          "SQLite store; a directory or --shards = "
-                          "sharded tiered store)")
+                          "workers and across runs: a directory of "
+                          "SQLite shards, created when missing (a v2 "
+                          "single-file store there is migrated)")
     run.add_argument("--shards", type=int, default=None, metavar="N",
                      help="partition a store created at --cache into N "
-                          "hash-partitioned SQLite shards (implies the "
-                          "tiered store; workers open only the shards "
-                          "their keys hash into)")
+                          "hash-partitioned SQLite shards (default 8; "
+                          "workers open only the shards their keys hash "
+                          "into)")
     run.add_argument("--memory-tier", type=int, default=None, metavar="K",
-                     help="in-process LRU tier capacity in entries for "
-                          "the tiered store (implies it; default 8192)")
+                     help="in-process LRU tier capacity in entries "
+                          "(default 8192)")
     run.add_argument("--preload-limit", type=int, default=2048,
                      metavar="K",
                      help="most-recently-recorded stored counts seeded "
@@ -671,12 +670,12 @@ def build_parser() -> argparse.ArgumentParser:
     info.set_defaults(handler=_cmd_cache_info)
 
     flush = cache_sub.add_parser(
-        "flush", help="delete every persisted answer from a store file")
+        "flush", help="delete every persisted answer from a store")
     flush.add_argument("--cache", required=True, metavar="PATH")
     flush.set_defaults(handler=_cmd_cache_flush)
 
     merge = cache_sub.add_parser(
-        "merge", help="merge stores (files or shard directories) into one")
+        "merge", help="merge stores into one")
     merge.add_argument("sources", nargs="+", metavar="SRC",
                        help="stores to merge rows from")
     merge.add_argument("--into", required=True, metavar="DEST",
@@ -721,16 +720,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bounded request-dispatch pool size (default: 4)")
     start.add_argument("--cache", default=None, metavar="PATH",
                        help="persistent hom-count store owned by the "
-                            "service session (a file = single SQLite "
-                            "store; a directory or --shards = sharded "
-                            "tiered store)")
+                            "service session: a directory of SQLite "
+                            "shards, created when missing")
     start.add_argument("--shards", type=int, default=None, metavar="N",
                        help="partition a store created at --cache into N "
-                            "hash-partitioned SQLite shards")
+                            "hash-partitioned SQLite shards (default 8)")
     start.add_argument("--memory-tier", type=int, default=None,
                        metavar="K",
-                       help="in-process LRU tier capacity in entries for "
-                            "the tiered store (default 8192)")
+                       help="in-process LRU tier capacity in entries "
+                            "(default 8192)")
     start.add_argument("--preload-pack", default=None, metavar="PATH",
                        help="warm-start pack (cache warm-pack) imported "
                             "into the store before serving")

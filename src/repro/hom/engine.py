@@ -95,15 +95,16 @@ STRATEGIES = ("auto", "backtrack", "dp")
 # Domains are packed into Python-int bitsets (bit v ⇔ value v allowed)
 # as long as the target domain fits this many bits.  Beyond the cap a
 # mostly-empty multi-kiloword mask costs more to AND than a sparse set
-# costs to intersect, so the counter falls back to the set-domain
-# kernels (and counts the event in ``bitset_stats``).
+# costs to intersect, so the backtracking counter falls back to the
+# set-domain kernel (and counts the event in ``bitset_stats``); the
+# packed DP keeps its bitset domains at every size.
 _BITSET_MAX_DOMAIN = 1 << 16
 
 # Module-wide observability of the bit-parallel kernels (same scoping
 # as the intern/canonical counters: the representation layer is shared
 # by every engine in the process).  ``propagations`` counts
 # domain-narrowing events of the bitset forward checker;
-# ``fallbacks`` counts counts that ran on the set-domain kernels
+# ``fallbacks`` counts counts that ran on the set-domain backtracker
 # because the target domain exceeded the cap.
 _BITSET_COUNTERS = {"propagations": 0, "fallbacks": 0}
 
@@ -179,7 +180,7 @@ class TargetIndex:
                               Dict[int, FrozenSet[int]]] = {}
         # Bitmask twins of the candidate machinery, built lazily and
         # cached alongside the set forms: non-hot callers (and the
-        # set-domain fallback kernels) keep the sets, while the
+        # set-domain fallback backtracker) keep the sets, while the
         # bit-parallel kernels probe these.
         self._position_masks: Dict[Tuple[str, int], int] = {}
         self._pair_bits: Dict[Tuple[str, int, int], Dict[int, int]] = {}
@@ -635,7 +636,7 @@ def _plan_preamble(plan: SourcePlan, index: TargetIndex, first_only: bool):
 
 def _plan_preamble_sets(plan: SourcePlan, index: TargetIndex,
                         first_only: bool):
-    """:func:`_plan_preamble` over set domains — the fallback kernels'
+    """:func:`_plan_preamble` over set domains — the set backtracker's
     preamble (domains as ``{variable: set of values}``), also the
     ablation reference the bench suite times the bitsets against."""
     decided, free_factor = _preamble_guards(plan, index, first_only)
@@ -924,7 +925,6 @@ def _collect_engine_counters(width_histogram: Dict[int, int]
         "canonical.hits": canonical["hits"],
         "bitset.propagations": bitset["propagations"],
         "bitset.fallbacks": bitset["fallbacks"],
-        "dp.packed.fallbacks": bitset["dp_fallbacks"],
         "budget.exceeded_deadline": budget["exceeded_deadline"],
         "budget.exceeded_steps": budget["exceeded_steps"],
         "budget.injected": budget["injected"],
@@ -1016,7 +1016,7 @@ class HomEngine:
         # ``record(component, leaf, count)``; implementations may also
         # provide ``lookup_exists``/``record_exists`` for the
         # Chandra–Merlin probes and ``flush``; see
-        # :class:`repro.batch.cache.SQLiteHomStore`).  Consulted on
+        # :class:`repro.batch.store.TieredHomStore`).  Consulted on
         # in-memory misses and fed every freshly computed count, so a
         # warm store survives the process and is shared across worker
         # processes of a batch run.

@@ -38,8 +38,7 @@ name                                  kind       meaning
 ``canonical.keys`` / ``.hits``        counter    canonical labelings
 ``intern.cached`` / ``canonical.cached``  gauge  live lru sizes
 ``bitset.propagations``               counter    bitset domain narrowings
-``bitset.fallbacks``                  counter    set-kernel fallbacks
-``dp.packed.fallbacks``               counter    packed-DP fallbacks
+``bitset.fallbacks``                  counter    set-backtracker fallbacks
 ``dp.packed.peak_entries``            gauge      largest packed table
 ``session.tasks.evaluated``           counter    requests answered
 ``session.tasks.errors``              counter    requests failed

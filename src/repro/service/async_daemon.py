@@ -51,6 +51,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import (
     IO,
     Callable,
@@ -200,10 +201,10 @@ class AsyncSolverService:
         self._store: Optional[LockedStore] = None
         self._owns_store = False
         if store_path is not None:
-            from repro.batch.store import import_warm_pack, open_store
+            from repro.batch.store import TieredHomStore, import_warm_pack
 
-            raw = open_store(store_path, shards=shards,
-                             memory_tier=memory_tier)
+            raw = TieredHomStore(store_path, shards=shards,
+                                 memory_tier=memory_tier)
             if preload_pack is not None:
                 import_warm_pack(raw, preload_pack)
             self._store = LockedStore(raw)
@@ -913,7 +914,10 @@ async def serve_async_stdio(service: AsyncSolverService,
     control op (``drain``/``shutdown``), or until a drain requested
     from outside (SIGTERM) quiesces the service, writing one response
     line per request to ``sink`` (default stdout) and flushing each as
-    soon as it resolves, oldest first.  Reading and writing happen off
+    soon as it resolves, oldest first.  A control op is answered in
+    stream order too: when the writer reaches it, after every line
+    before it has been answered, so a trailing ``metrics`` op counts
+    all the work that preceded it.  Reading and writing happen off
     the event loop, so it keeps dispatching while a slow producer
     trickles lines in.
 
@@ -944,7 +948,9 @@ async def serve_async_stdio(service: AsyncSolverService,
             item = await pending.get()
             if item is None:
                 break
-            line = item if isinstance(item, str) else await item
+            # A control op is answered only now, after every line
+            # before it (see the docstring).
+            line = item() if isinstance(item, partial) else await item
             if failure is not None:
                 continue  # keep draining so the reader never blocks
             try:
@@ -969,7 +975,7 @@ async def serve_async_stdio(service: AsyncSolverService,
                 continue
             control = parse_control(line)
             if control is not None:
-                await pending.put(service.control_record(control))
+                await pending.put(partial(service.control_record, control))
                 if ends_stream(control):
                     break
                 continue

@@ -47,10 +47,8 @@ from repro.hom.engine import STRATEGIES, HomEngine
 from repro.obs.metrics import MetricsRegistry
 
 
-# stats() key -> metric name, per kind.  The tier/flush/shard keys only
-# appear when the attached store is the tiered one; the single-file
-# store's stats simply lack them, so the mapping is shared by both
-# store classes.
+# stats() key -> metric name, per kind.  A caller-supplied store object
+# may report only some of these keys; the missing ones are skipped.
 _STORE_COUNTER_METRICS = {
     "lookups": "store.lookups",
     "lookup_hits": "store.lookup_hits",
@@ -100,14 +98,12 @@ class SolverSession:
         Borrowed — the caller closes it.
     store_path:
         Path to a persistent hom store, owned by the session (opened
-        here, closed in :meth:`close`).  A plain file path opens the
-        single-file :class:`repro.batch.cache.SQLiteHomStore`; a
-        directory — or any path combined with ``shards=`` /
-        ``memory_tier=`` — opens the sharded, tiered
-        :class:`repro.batch.store.TieredHomStore` (migrating a v2 file
-        in place; see :func:`repro.batch.store.open_store`).
+        here, closed in :meth:`close`): the sharded, tiered
+        :class:`repro.batch.store.TieredHomStore` directory at that
+        path, created when missing (a v2 single file there is migrated
+        in place).
     shards / memory_tier:
-        Tiered-store knobs (require ``store_path``): the shard count
+        Store knobs (require ``store_path``): the shard count
         for a store created at ``store_path``, and the LRU memory-tier
         capacity in entries.
     preload_pack:
@@ -169,10 +165,10 @@ class SolverSession:
                 f"expected one of {STRATEGIES}")
         self._owns_store = False
         if store_path is not None:
-            from repro.batch.store import import_warm_pack, open_store
+            from repro.batch.store import TieredHomStore, import_warm_pack
 
-            store = open_store(store_path, shards=shards,
-                               memory_tier=memory_tier)
+            store = TieredHomStore(store_path, shards=shards,
+                                   memory_tier=memory_tier)
             self._owns_store = True
             if preload_pack is not None:
                 import_warm_pack(store, preload_pack)

@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import random
+import sqlite3
 
 import pytest
 
+from repro.batch.store import _COUNTS, _EXISTS, _SCHEMA, _digest
+from repro.batch.tasks import canonical_json
 from repro.queries.cq import cq_from_structure
 from repro.queries.parser import parse_boolean_cq, parse_path
+from repro.structures.canonical import canonical_key
 from repro.structures.generators import (
     cycle_structure,
     path_structure,
 )
 from repro.structures.operations import sum_with_multiplicities
 from repro.structures.schema import Schema
+from repro.structures.serialization import structure_to_dict
 
 
 @pytest.fixture
@@ -59,3 +64,37 @@ def example13_paths():
     """Example 13: q = ABCD, V = {ABC, BC, BCD}."""
     views = [parse_path("A.B.C"), parse_path("B.C"), parse_path("B.C.D")]
     return views, parse_path("A.B.C.D")
+
+
+def _write_v2_store(path, counts=(), exists=()):
+    """Write a v2 single-file hom store, the layout the store used
+    before sharding: the three shard tables in one WAL file stamped
+    ``user_version=2``.  ``counts`` holds ``(source, target, count)``
+    and ``exists`` ``(source, target, verdict)`` triples, recorded in
+    order (rowid order is the recency the migration preserves)."""
+    connection = sqlite3.connect(str(path))
+    connection.execute("PRAGMA journal_mode=WAL")
+    with connection:
+        for statement in _SCHEMA:
+            connection.execute(statement)
+        connection.execute("PRAGMA user_version=2")
+        for table, rows, encode in (
+                (_COUNTS, counts, str),
+                (_EXISTS, exists, lambda verdict: "1" if verdict else "0")):
+            for source, target, value in rows:
+                target_json = canonical_json(structure_to_dict(target))
+                connection.execute(
+                    "INSERT OR IGNORE INTO targets VALUES (?, ?)",
+                    (_digest(target_json), target_json))
+                connection.execute(
+                    f"INSERT OR IGNORE INTO {table} VALUES (?, ?, ?)",
+                    (canonical_key(source), _digest(target_json),
+                     encode(value)))
+    connection.close()
+
+
+@pytest.fixture
+def write_v2_store():
+    """The v2 single-file writer the migration tests seed stores with:
+    ``write_v2_store(path, counts=[...], exists=[...])``."""
+    return _write_v2_store

@@ -143,6 +143,16 @@ class TestAsyncParity:
         assert answer.pop("rid") == "corr-7"
         assert canonical_json(answer) == plain
 
+    def test_trailing_metrics_counts_every_earlier_task(self):
+        # A control op is answered in stream order, after every line
+        # before it: the trailing metrics line counts all 30 tasks on
+        # every run, however the two executor workers interleave.
+        lines = _stream("cq-witness", 30, seed=3) + ['{"op":"metrics"}']
+        for _ in range(5):
+            served, _ = _serve_async_lines(lines, workers=2)
+            metrics = json.loads(served[-1])["metrics"]
+            assert metrics["session.tasks.evaluated"] == 30
+
     def test_strip_rid_passthrough(self):
         assert strip_rid("not json") == ("not json", None)
         assert strip_rid('{"kind": "x"}') == ('{"kind": "x"}', None)

@@ -6,9 +6,9 @@ import json
 
 import pytest
 
-from repro.batch.cache import SQLiteHomStore
 from repro.batch.runner import evaluate_line, iter_results, run_batch
 from repro.batch.scenarios import generate_scenario, write_scenario
+from repro.batch.store import TieredHomStore
 from repro.batch.tasks import (
     BatchCodecError,
     canonical_json,
@@ -149,21 +149,25 @@ class TestScenarios:
 # Persistent store
 # ----------------------------------------------------------------------
 class TestSQLiteHomStore:
+    """The persistent store protocol the engine consumes.  (The class
+    keeps its historical name: every store path now opens a
+    :class:`TieredHomStore`.)"""
+
     def test_count_round_trip_and_iso_sharing(self, tmp_path):
-        store = SQLiteHomStore(str(tmp_path / "cache.sqlite"), flush_every=1)
+        store = TieredHomStore(str(tmp_path / "cache.sqlite"), flush_every=1)
         component = path_structure(["R", "R"])
         target = clique_structure(4)
         assert store.lookup(component, target) is None
         store.record(component, target, 36)
         assert store.lookup(component, target) == 36
-        # A renamed copy is found through the isomorphism fallback.
+        # A renamed copy hits the same row: the key is canonical.
         renamed = component.rename({c: f"n{c}" for c in component.domain()})
         assert store.lookup(renamed, target) == 36
         assert store.counts_len() == 1
         store.close()
 
     def test_exists_round_trip(self, tmp_path):
-        store = SQLiteHomStore(str(tmp_path / "cache.sqlite"), flush_every=1)
+        store = TieredHomStore(str(tmp_path / "cache.sqlite"), flush_every=1)
         source = path_structure(["R"])
         assert store.lookup_exists(source, clique_structure(3)) is None
         store.record_exists(source, clique_structure(3), True)
@@ -171,28 +175,32 @@ class TestSQLiteHomStore:
         assert store.lookup_exists(source, clique_structure(3)) is True
         assert store.lookup_exists(clique_structure(3), source) is False
         assert store.exists_len() == 2
+        store.close()
 
     def test_survives_reopen(self, tmp_path):
         path = str(tmp_path / "cache.sqlite")
-        with SQLiteHomStore(path, flush_every=1) as store:
+        with TieredHomStore(path, flush_every=1) as store:
             store.record(path_structure(["R"]), clique_structure(3), 6)
-        with SQLiteHomStore(path) as store:
+        with TieredHomStore(path) as store:
             assert store.lookup(path_structure(["R"]), clique_structure(3)) == 6
 
     def test_big_counts_survive(self, tmp_path):
-        store = SQLiteHomStore(str(tmp_path / "cache.sqlite"), flush_every=1)
+        path = str(tmp_path / "cache.sqlite")
         huge = 10 ** 40 + 7
-        store.record(path_structure(["R"]), clique_structure(3), huge)
-        assert store.lookup(path_structure(["R"]), clique_structure(3)) == huge
+        with TieredHomStore(path, flush_every=1) as store:
+            store.record(path_structure(["R"]), clique_structure(3), huge)
+        with TieredHomStore(path) as store:  # read back from disk
+            assert store.lookup(path_structure(["R"]),
+                                clique_structure(3)) == huge
 
     def test_preload_seeds_engine(self, tmp_path):
         path = str(tmp_path / "cache.sqlite")
         component = path_structure(["R", "R"])
         target = clique_structure(4)
-        with SQLiteHomStore(path, flush_every=1) as store:
+        with TieredHomStore(path, flush_every=1) as store:
             engine = HomEngine(store=store)
             expected = engine.count(component, target)
-        with SQLiteHomStore(path) as store:
+        with TieredHomStore(path) as store:
             warmed = HomEngine()
             assert store.preload(warmed) > 0
             before = warmed.misses
@@ -203,25 +211,26 @@ class TestSQLiteHomStore:
         path = str(tmp_path / "cache.sqlite")
         component = path_structure(["R", "R", "R"])
         target = clique_structure(5)
-        with SQLiteHomStore(path, flush_every=1) as store:
+        with TieredHomStore(path, flush_every=1) as store:
             first = HomEngine(store=store)
             truth = first.count(component, target)
             assert first.store_misses > 0
-        with SQLiteHomStore(path) as store:
+        with TieredHomStore(path) as store:
             second = HomEngine(store=store)
             assert second.count(component, target) == truth
             assert second.store_hits > 0
 
     def test_stats_shape(self, tmp_path):
-        store = SQLiteHomStore(str(tmp_path / "cache.sqlite"))
-        stats = store.stats()
-        assert set(stats) == {"counts", "exists", "lookups", "lookup_hits",
-                              "inserts", "corruptions", "retries"}
+        # The keys every store reports, whatever its tiers add.
+        with TieredHomStore(str(tmp_path / "cache.sqlite")) as store:
+            stats = store.stats()
+        assert {"counts", "exists", "lookups", "lookup_hits", "inserts",
+                "corruptions", "retries"} <= set(stats)
 
     def test_unserializable_source_still_persists(self, tmp_path):
         """Canonical keys freed the source side from the JSON wire
         format: only the *target* must serialize."""
-        store = SQLiteHomStore(str(tmp_path / "cache.sqlite"), flush_every=1)
+        store = TieredHomStore(str(tmp_path / "cache.sqlite"), flush_every=1)
         weird = path_structure(["R"]).rename(
             {c: frozenset({c}) for c in path_structure(["R"]).domain()})
         target = clique_structure(3)
@@ -229,25 +238,33 @@ class TestSQLiteHomStore:
         assert store.lookup(weird, target) == 6
         # and an ordinary rename of the same class hits the same row
         assert store.lookup(path_structure(["R"]), target) == 6
+        store.close()
 
 
 class TestStoreSchemaVersioning:
     def test_fresh_store_is_stamped(self, tmp_path):
         import sqlite3
 
-        path = str(tmp_path / "cache.sqlite")
-        with SQLiteHomStore(path) as store:
-            store.record(path_structure(["R"]), clique_structure(3), 6)
-        version = sqlite3.connect(path).execute(
-            "PRAGMA user_version").fetchone()[0]
-        from repro.batch.cache import SCHEMA_VERSION
+        from repro.batch.store import SCHEMA_VERSION_V3
 
-        assert version == SCHEMA_VERSION
+        path = tmp_path / "cache.sqlite"
+        with TieredHomStore(str(path), shards=2) as store:
+            store.ensure_shards()
+        meta = json.loads((path / "meta.json").read_text())
+        assert meta["schema_version"] == SCHEMA_VERSION_V3
+        shards = sorted(path.glob("shard-*.sqlite"))
+        assert len(shards) == 2
+        for shard in shards:
+            connection = sqlite3.connect(str(shard))
+            version = connection.execute(
+                "PRAGMA user_version").fetchone()[0]
+            connection.close()
+            assert version == SCHEMA_VERSION_V3
 
     def test_legacy_store_refused_with_clear_error(self, tmp_path):
         import sqlite3
 
-        from repro.batch.cache import StoreFormatError
+        from repro.batch.store import StoreFormatError
 
         path = str(tmp_path / "legacy.sqlite")
         connection = sqlite3.connect(path)
@@ -260,12 +277,12 @@ class TestStoreSchemaVersioning:
                 "CREATE TABLE targets (hash TEXT PRIMARY KEY, json TEXT)")
         connection.close()
         with pytest.raises(StoreFormatError, match="pre-canonical-key"):
-            SQLiteHomStore(path)
+            TieredHomStore(path)
 
     def test_future_schema_version_refused(self, tmp_path):
         import sqlite3
 
-        from repro.batch.cache import StoreFormatError
+        from repro.batch.store import StoreFormatError
 
         path = str(tmp_path / "future.sqlite")
         connection = sqlite3.connect(path)
@@ -273,7 +290,7 @@ class TestStoreSchemaVersioning:
         connection.commit()
         connection.close()
         with pytest.raises(StoreFormatError, match="schema version 99"):
-            SQLiteHomStore(path)
+            TieredHomStore(path)
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +339,7 @@ class TestRunner:
         cache = str(tmp_path / "cache.sqlite")
         lines = _scenario_lines("cq", 8, seed=4)
         cold = list(iter_results(lines, workers=1, cache_path=cache))
-        with SQLiteHomStore(cache) as store:
+        with TieredHomStore(cache) as store:
             assert len(store) > 0
         warm = list(iter_results(lines, workers=1, cache_path=cache))
         assert cold == warm

@@ -24,17 +24,14 @@ EXPECTED_WORKLOADS = {
     "hom_treewidth": {"backtracking_engine_s", "dp_engine_s", "speedup",
                       "auto_picks_dp"},
     "hom_bitset": {"backtrack_set_s", "backtrack_bitset_s",
-                   "speedup_backtrack", "dp_set_s", "dp_bitset_s",
-                   "speedup_dp"},
+                   "speedup_backtrack", "dp_bitset_s"},
     "service_throughput": {"cold_dispatch_per_task_s",
                            "warm_service_per_task_s", "speedup", "tasks"},
     "service_concurrency": {"async_persistent_s", "async_throughput_rps",
                             "async_p50_ms", "async_p99_ms", "clients",
                             "requests"},
     "linalg_det": {"gaussian_fraction_s", "bareiss_s", "speedup"},
-    "store_tiered": {"singlefile_record_s", "tiered_record_s",
-                     "speedup_record", "singlefile_lookup_s",
-                     "tiered_lookup_s", "speedup_lookup", "rows"},
+    "store_tiered": {"tiered_record_s", "tiered_lookup_s", "rows"},
 }
 
 

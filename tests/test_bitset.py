@@ -10,13 +10,14 @@ Four layers of guarantees:
   injective and field-recoverable at the field-width boundaries
   (domain sizes 1, 2, 63, 64, 65), and the FORGET splice formula is
   exactly "repack without that field";
-* **counts** — the bitset backtracker, the set-domain backtracker,
-  the packed DP and the set-keyed DP are bit-identical to the naive
-  ground truth ``count_homomorphisms_direct`` on a random corpus
+* **counts** — the bitset backtracker, the set-domain backtracker
+  and the packed DP are bit-identical to the naive ground truth
+  ``count_homomorphisms_direct`` on a random corpus
   covering disconnected sources, mixed arities (0..3), nullary facts
   and isolated elements, plus ``first_only`` short-circuit agreement;
-* **plumbing** — the domain-size cap routes both engines onto the
-  set-domain fallbacks (counters incremented, results unchanged), and
+* **plumbing** — the domain-size cap routes the backtracker onto the
+  set-domain kernel (counter incremented, result unchanged) while the
+  packed DP keeps serving past it, and
   the per-plan caches (base bitmask domains, resolved introduce
   programs, strategy verdicts) hit on repeats and stay LRU-bounded.
 """
@@ -25,12 +26,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.hom.dpcount import (
-    _DP_PACKED,
-    _count_plan_dp_sets,
-    count_plan_dp,
-    dp_packed_stats,
-)
+from repro.hom.dpcount import count_plan_dp, dp_packed_stats
 from repro.hom.engine import (
     SourcePlan,
     TargetIndex,
@@ -74,7 +70,6 @@ def _all_kernels(source: Structure, target: Structure):
         _count_bitset(plan, index, False),
         _count_sets(plan, index, False),
         count_plan_dp(plan, index),
-        _count_plan_dp_sets(plan, index),
     ]
 
 
@@ -152,10 +147,10 @@ def test_forget_splice_is_repack_without_field(n, seed):
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 100_000))
-def test_all_four_kernels_match_direct_truth(seed):
+def test_all_kernels_match_direct_truth(seed):
     source, target = _random_pair(seed)
     truth, results = _all_kernels(source, target)
-    assert results == [truth] * 4
+    assert results == [truth] * 3
 
 
 @settings(max_examples=40, deadline=None)
@@ -178,7 +173,7 @@ def test_disconnected_source_multiplies_components():
                         if i != j], domain=range(4))
     truth, results = _all_kernels(source, target)
     assert truth == 4 * 3 * 3 * 4 * 3
-    assert results == [truth] * 4
+    assert results == [truth] * 3
 
 
 def test_mixed_constants_nullary_and_isolated():
@@ -195,7 +190,7 @@ def test_mixed_constants_nullary_and_isolated():
     )
     truth, results = _all_kernels(source, target)
     assert truth == 27 * 3  # free cube times the isolated |dom| factor
-    assert results == [truth] * 4
+    assert results == [truth] * 3
 
 
 def test_isolated_target_elements_widen_domains():
@@ -206,7 +201,7 @@ def test_isolated_target_elements_widen_domains():
     target = Structure([("R", (0, 1))], domain=range(4))
     truth, results = _all_kernels(source, target)
     assert truth == 1 * 4  # one edge image, 4 images for "free"
-    assert results == [truth] * 4
+    assert results == [truth] * 3
 
 
 def test_grid_into_dense_target_agreement():
@@ -216,7 +211,7 @@ def test_grid_into_dense_target_agreement():
                         if i != j], domain=range(5))
     for shape in (source, chain):
         truth, results = _all_kernels(shape, target)
-        assert results == [truth] * 4
+        assert results == [truth] * 3
 
 
 # ----------------------------------------------------------------------
@@ -233,11 +228,34 @@ def test_domain_cap_routes_to_set_kernels(monkeypatch):
     truth = count_homomorphisms_direct(source, target)
     monkeypatch.setattr(engine_module, "_BITSET_MAX_DOMAIN", 2)
     before_bt = _BITSET_COUNTERS["fallbacks"]
-    before_dp = _DP_PACKED["dp_fallbacks"]
     assert _count(plan, index, False) == truth
-    assert count_plan_dp(plan, index) == truth
-    assert _BITSET_COUNTERS["fallbacks"] >= before_bt + 2
-    assert _DP_PACKED["dp_fallbacks"] == before_dp + 1
+    assert _BITSET_COUNTERS["fallbacks"] == before_bt + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_packed_dp_is_exact_past_the_domain_cap(seed):
+    # Every DP runs on the packed kernel, whatever the target's size:
+    # with the cap forced below the target domain, it still matches
+    # the direct oracle and never touches the set kernels.
+    import repro.hom.engine as engine_module
+
+    source, target = _random_pair(seed)
+    target = Structure(target.facts(), schema=target.schema,
+                       domain=list(target.domain())
+                       + [("pad", i) for i in range(4)])
+    plan = source_plan(source)
+    index = TargetIndex(target)
+    truth = count_homomorphisms_direct(source, target)
+    before = _BITSET_COUNTERS["fallbacks"]
+    original = engine_module._BITSET_MAX_DOMAIN
+    engine_module._BITSET_MAX_DOMAIN = 2
+    try:
+        assert count_plan_dp(plan, index) == truth
+    finally:
+        engine_module._BITSET_MAX_DOMAIN = original
+    assert index.domain_size > 2
+    assert _BITSET_COUNTERS["fallbacks"] == before
 
 
 def test_stats_expose_bitset_and_packed_counters():
@@ -251,8 +269,7 @@ def test_stats_expose_bitset_and_packed_counters():
     assert _BITSET_COUNTERS["propagations"] > before
     count_plan_dp(plan, index)
     report = bitset_stats()
-    assert set(report) == {"propagations", "fallbacks",
-                           "dp_peak_entries", "dp_fallbacks"}
+    assert set(report) == {"propagations", "fallbacks", "dp_peak_entries"}
     assert report["dp_peak_entries"] == dp_packed_stats()["dp_peak_entries"]
     assert report["dp_peak_entries"] >= 1
 

@@ -189,10 +189,10 @@ class TestLegacyAliases:
 class TestCacheCommands:
     @staticmethod
     def _seed_store(path):
-        from repro.batch.cache import SQLiteHomStore
+        from repro.batch.store import TieredHomStore
         from repro.structures.generators import clique_structure, path_structure
 
-        with SQLiteHomStore(str(path)) as store:
+        with TieredHomStore(str(path)) as store:
             store.record(path_structure(["R"]), clique_structure(2), 4)
             store.record_exists(path_structure(["R"]), clique_structure(2),
                                 True)

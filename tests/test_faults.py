@@ -14,13 +14,13 @@ import time
 
 import pytest
 
-from repro.batch.cache import SQLiteHomStore, StoreFormatError
 from repro.batch.runner import (
     _truncate_torn_tail,
     iter_results,
     run_batch,
 )
 from repro.batch.scenarios import generate_scenario, write_scenario
+from repro.batch.store import StoreFormatError, TieredHomStore
 from repro.batch.tasks import canonical_json, make_hom_count_task
 from repro.errors import ReproError
 from repro.faults import (
@@ -38,6 +38,14 @@ from repro.service.client import DaemonClient, backoff_delay
 from repro.session import SolverSession
 from repro.structures.generators import clique_structure, cycle_structure
 
+# A leaked socket or file fails the run instead of surfacing as a stray
+# warning.  The warning fires in a finalizer, which pytest reports as
+# an unraisable-exception warning, so that one is an error too.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"),
+]
 
 @pytest.fixture(autouse=True)
 def _no_leaked_plan():
@@ -252,41 +260,45 @@ class TestStoreHealing:
 
     def test_corrupt_file_quarantined_on_open(self, tmp_path):
         path = tmp_path / "store.sqlite"
-        path.write_bytes(b"definitely not a database" * 64)
-        store = SQLiteHomStore(str(path))
+        garbage = b"definitely not a database" * 64
+        path.write_bytes(garbage)
+        store = TieredHomStore(str(path))
         assert store.corruptions == 1
-        assert store.retries == 1
         store.record(self.SRC, self.TGT, 6)
         store.flush()
         assert store.lookup(self.SRC, self.TGT) == 6
         quarantined = list(tmp_path.glob("store.sqlite.corrupt-*"))
         assert len(quarantined) == 1
+        assert quarantined[0].read_bytes() == garbage  # kept aside
         store.close()
+        with TieredHomStore(str(path)) as reopened:  # a working store
+            assert reopened.lookup(self.SRC, self.TGT) == 6
 
     def test_mid_life_corruption_heals_round_trip(self, tmp_path):
-        path = str(tmp_path / "store.sqlite")
-        with SQLiteHomStore(path) as store:
+        path = tmp_path / "store"
+        with TieredHomStore(str(path), shards=1) as store:
             store.record(self.SRC, self.TGT, 6)
-        with open(path, "r+b") as handle:
+        with open(path / "shard-000.sqlite", "r+b") as handle:
             handle.write(b"\xff" * 512)
-        with SQLiteHomStore(path) as healed:
-            assert healed.corruptions == 1
+        with TieredHomStore(str(path)) as healed:
             assert healed.lookup(self.SRC, self.TGT) is None
+            assert healed.corruptions == 1
             healed.record(self.SRC, self.TGT, 6)
             healed.flush()
             assert healed.lookup(self.SRC, self.TGT) == 6
             stats = healed.stats()
         assert stats["corruptions"] == 1
         assert stats["retries"] == 1
+        assert len(list(path.glob("shard-000.sqlite.corrupt-*"))) == 1
 
     def test_injected_lookup_corruption_heals(self, tmp_path):
-        with SQLiteHomStore(str(tmp_path / "store.sqlite")) as store:
+        with TieredHomStore(str(tmp_path / "store"), shards=1) as store:
             store.record(self.SRC, self.TGT, 6)
             store.flush()
             install_fault_plan(FaultPlan({"seed": 2, "store.lookup": [0]}))
             try:
                 # The poisoned probe heals and retries against the
-                # fresh (empty) file — a miss, never an exception.
+                # fresh (empty) shard — a miss, never an exception.
                 assert store.lookup(self.SRC, self.TGT) is None
             finally:
                 clear_fault_plan()
@@ -296,6 +308,19 @@ class TestStoreHealing:
             store.flush()
             assert store.lookup(self.SRC, self.TGT) == 6
 
+    def test_injected_corruption_in_pool_workers_quarantines(self, tmp_path):
+        # The pool parent materializes every shard before workers start,
+        # so each worker's poisoned first probe finds a file to move.
+        tasks = tmp_path / "tasks.jsonl"
+        with open(tasks, "w") as sink:
+            write_scenario(generate_scenario("mixed", 10, seed=11), sink)
+        cache = tmp_path / "cache"
+        summary = run_batch(str(tasks), str(tmp_path / "out.jsonl"),
+                            workers=2, chunk_size=3, cache_path=str(cache),
+                            fault_plan={"seed": 29, "store.lookup": [0]})
+        assert summary["written"] == 10 and summary["errors"] == 0
+        assert list(cache.glob("shard-*.sqlite.corrupt-*"))
+
     def test_format_refusal_is_not_corruption(self, tmp_path):
         path = str(tmp_path / "store.sqlite")
         connection = sqlite3.connect(path)
@@ -303,9 +328,10 @@ class TestStoreHealing:
         connection.commit()
         connection.close()
         with pytest.raises(StoreFormatError):
-            SQLiteHomStore(path)
-        # The file was refused, not quarantined.
+            TieredHomStore(path)
+        # The file was refused, not quarantined (and not moved).
         assert not list(tmp_path.glob("store.sqlite.corrupt-*"))
+        assert (tmp_path / "store.sqlite").is_file()
 
 
 # ----------------------------------------------------------------------
@@ -428,7 +454,8 @@ class TestRunBatchFaults:
         tasks = tmp_path / "tasks.jsonl"
         with open(tasks, "w") as sink:
             write_scenario(generate_scenario("mixed", 6, seed=4), sink)
-        first = json.loads(open(tasks).readline())["id"]
+        with open(tasks) as source:
+            first = json.loads(source.readline())["id"]
         out = tmp_path / "out.jsonl"
         summary = run_batch(
             str(tasks), str(out), workers=2, chunk_size=2,

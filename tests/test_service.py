@@ -39,6 +39,15 @@ from repro.service.async_daemon import parse_control
 from repro.session import SolverSession
 from repro.structures.generators import clique_structure, path_structure
 
+# A leaked socket fails the run instead of surfacing as a stray
+# warning.  The warning fires in a finalizer, which pytest reports as
+# an unraisable-exception warning, so that one is an error too.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"),
+]
+
 
 def _stream(kind: str, count: int, seed: int):
     return [canonical_json(record)

@@ -1,23 +1,25 @@
-"""Tests for the tiered sharded hom store (schema v3) and its tooling."""
+"""Tests for the tiered sharded hom store (schema v3), its migration
+from v2 single files, and its tooling."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import sqlite3
 
 import pytest
 
-from repro.batch.cache import SQLiteHomStore, StoreFormatError
 from repro.cli import main
 from repro.errors import ReproError
 from repro.hom.engine import HomEngine
 from repro.batch.store import (
     DEFAULT_SHARDS,
     MemoryTier,
+    StoreFormatError,
     TieredHomStore,
     copy_rows,
     export_warm_pack,
     import_warm_pack,
-    open_store,
     shard_of,
 )
 from repro.structures.canonical import canonical_key
@@ -175,60 +177,147 @@ class TestTieredStore:
 
 
 # ----------------------------------------------------------------------
-# open_store routing
+# Opening a store at a path
 # ----------------------------------------------------------------------
 class TestOpenStore:
-    def test_plain_path_stays_single_file(self, tmp_path):
-        with open_store(str(tmp_path / "cache.sqlite")) as store:
-            assert isinstance(store, SQLiteHomStore)
+    def test_plain_path_becomes_shard_directory(self, tmp_path):
+        path = tmp_path / "cache.sqlite"
+        with TieredHomStore(str(path)) as store:
+            assert store.shards == DEFAULT_SHARDS
+            store.record(SRC, TGT, 36)
+        assert path.is_dir()
+        meta = json.loads((path / "meta.json").read_text())
+        assert meta == {"schema_version": 3, "shards": DEFAULT_SHARDS}
 
     def test_knobs_opt_into_tiered(self, tmp_path):
-        with open_store(str(tmp_path / "a"), shards=2) as store:
-            assert isinstance(store, TieredHomStore)
+        # The knobs configure the store a path creates.
+        with TieredHomStore(str(tmp_path / "a"), shards=2) as store:
             assert store.shards == 2
-        with open_store(str(tmp_path / "b"), memory_tier=64) as store:
-            assert isinstance(store, TieredHomStore)
+        with TieredHomStore(str(tmp_path / "b"), memory_tier=64) as store:
             assert store.shards == DEFAULT_SHARDS
             assert store.tier.capacity == 64
 
     def test_directory_is_tiered(self, tmp_path):
         path = str(tmp_path / "store")
         TieredHomStore(path, shards=2).close()
-        with open_store(path) as store:
-            assert isinstance(store, TieredHomStore)
+        with TieredHomStore(path) as store:
             assert store.shards == 2
+
+    def test_invalid_shard_count_creates_nothing(self, tmp_path):
+        path = tmp_path / "store"
+        with pytest.raises(ReproError, match="shards must be >= 1"):
+            TieredHomStore(str(path), shards=0)
+        assert not path.exists()
 
 
 # ----------------------------------------------------------------------
 # v2 -> v3 migration
 # ----------------------------------------------------------------------
+def _stamp_version(path, version):
+    connection = sqlite3.connect(path)
+    connection.execute(f"PRAGMA user_version={version}")
+    connection.commit()
+    connection.close()
+
+
 class TestMigration:
-    def test_v2_file_migrates_round_trip(self, tmp_path):
-        path = str(tmp_path / "cache.sqlite")
-        with SQLiteHomStore(path) as legacy:
-            for index, source in enumerate(_sources(10)):
-                legacy.record(source, TGT, index)
-            legacy.record_exists(SRC, TGT, True)
-        with open_store(path, shards=4) as migrated:
-            assert isinstance(migrated, TieredHomStore)
-            for index, source in enumerate(_sources(10)):
-                assert migrated.lookup(source, TGT) == index
+    def test_v2_file_migrates_round_trip(self, tmp_path, write_v2_store):
+        path = tmp_path / "cache.sqlite"
+        counts = [(source, TGT, index)
+                  for index, source in enumerate(_sources(10))]
+        # a count past 64-bit range, on a source no other row uses
+        counts.append((path_structure(["S", "S"]), TGT, 10 ** 40 + 7))
+        exists = [(SRC, TGT, True), (TGT, SRC, False)]
+        write_v2_store(path, counts=counts, exists=exists)
+        with TieredHomStore(str(path), shards=4) as migrated:
+            for source, target, value in counts:
+                assert migrated.lookup(source, target) == value
             assert migrated.lookup_exists(SRC, TGT) is True
-            assert migrated.counts_len() == 10
-            assert migrated.exists_len() == 1
-        assert (tmp_path / "cache.sqlite").is_dir()
+            assert migrated.lookup_exists(TGT, SRC) is False
+            assert migrated.counts_len() == len(counts)
+            assert migrated.exists_len() == 2
+            assert migrated.corruptions == 0
+        assert path.is_dir()
+        backup = tmp_path / "cache.sqlite.v2-backup"
+        assert backup.is_file()
+        # The backup is the untouched v2 file.
+        connection = sqlite3.connect(str(backup))
+        assert connection.execute(
+            "PRAGMA user_version").fetchone()[0] == 2
+        assert connection.execute(
+            "SELECT COUNT(*) FROM hom_counts").fetchone()[0] == len(counts)
+        connection.close()
+        # Reopening serves the directory; nothing migrates twice.
+        with TieredHomStore(str(path)) as reopened:
+            assert reopened.shards == 4
+            assert reopened.counts_len() == len(counts)
+        assert not (tmp_path / "cache.sqlite.v2-backup.1").exists()
+
+    def test_migration_keeps_recency_for_preload(self, tmp_path,
+                                                  write_v2_store):
+        path = tmp_path / "cache.sqlite"
+        sources = _sources(10)
+        write_v2_store(path, counts=[(source, TGT, index)
+                                     for index, source in enumerate(sources)])
+        with TieredHomStore(str(path), shards=1) as store:
+            engine = HomEngine()
+            assert store.preload(engine, limit=3) == 3
+        for index, source in enumerate(sources):
+            served = engine.count(source, TGT)
+            if index >= len(sources) - 3:
+                assert served == index  # sentinel: seeded from the store
+            else:
+                assert served >= 12     # recomputed for real
+
+    def test_damage_inside_the_v2_file_stops_the_copy_not_the_open(
+            self, tmp_path, write_v2_store):
+        path = tmp_path / "cache.sqlite"
+        words = [word for length in range(1, 8)
+                 for word in itertools.product("RS", repeat=length)]
+        rows = [(path_structure(list(word)), TGT, index)
+                for index, word in enumerate(words)]
+        write_v2_store(path, counts=rows)
+        size = path.stat().st_size
+        with open(path, "r+b") as handle:  # header intact, pages torn
+            handle.seek(size // 2)
+            handle.write(b"\xff" * 4096)
+        with TieredHomStore(str(path), shards=2) as store:
+            assert store.corruptions == 1
+            assert 0 < store.counts_len() < len(rows)
+            fresh = path_structure(["T"])
+            store.record(fresh, TGT, 12)
+            store.flush()
+            assert store.lookup(fresh, TGT) == 12
         assert (tmp_path / "cache.sqlite.v2-backup").is_file()
 
     def test_future_version_refused_not_migrated(self, tmp_path):
-        import sqlite3
-
         path = str(tmp_path / "cache.sqlite")
-        connection = sqlite3.connect(path)
-        connection.execute("PRAGMA user_version=99")
-        connection.commit()
-        connection.close()
-        with pytest.raises(StoreFormatError):
+        _stamp_version(path, 99)
+        with pytest.raises(StoreFormatError, match="schema version 99"):
             TieredHomStore(path, shards=2)
+
+    @pytest.mark.parametrize("layout", ["future", "pre-canonical"])
+    def test_refused_file_stays_and_is_refused_again(self, tmp_path,
+                                                      layout):
+        path = tmp_path / "cache.sqlite"
+        if layout == "future":
+            _stamp_version(str(path), 99)
+        else:
+            connection = sqlite3.connect(str(path))
+            with connection:
+                # The first store layout: WL-digest buckets, user_version 0.
+                connection.execute(
+                    "CREATE TABLE hom_counts (inv TEXT, target TEXT, "
+                    "source TEXT, value TEXT, "
+                    "PRIMARY KEY (inv, target, source))")
+            connection.close()
+        original = path.read_bytes()
+        for _ in range(2):
+            with pytest.raises(StoreFormatError):
+                TieredHomStore(str(path))
+            assert path.is_file() and path.read_bytes() == original
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == \
+            ["cache.sqlite"]
 
 
 # ----------------------------------------------------------------------
@@ -304,16 +393,17 @@ class TestPreload:
 # ----------------------------------------------------------------------
 class TestTooling:
     def test_copy_rows_between_layouts(self, tmp_path):
-        single = str(tmp_path / "cache.sqlite")
-        sharded = str(tmp_path / "store")
-        with SQLiteHomStore(single) as source:
+        # Rows rehash onto the destination's shard layout.
+        with TieredHomStore(str(tmp_path / "a"), shards=1) as source, \
+                TieredHomStore(str(tmp_path / "b"), shards=4) as destination:
             for index, src in enumerate(_sources(8)):
                 source.record(src, TGT, index)
-        with SQLiteHomStore(single) as source, \
-                TieredHomStore(sharded, shards=4) as destination:
-            assert copy_rows(source, destination) == 8
+            source.record_exists(SRC, TGT, True)
+            assert copy_rows(source, destination) == 9
             for index, src in enumerate(_sources(8)):
                 assert destination.lookup(src, TGT) == index
+            assert destination.lookup_exists(SRC, TGT) is True
+            assert destination.counts_len() == 8
 
     def test_warm_pack_round_trip(self, tmp_path):
         pack = str(tmp_path / "pack.jsonl")
@@ -377,9 +467,9 @@ class TestTooling:
                      "--output", str(pack), "--limit", "64"]) == 0
         assert "packed" in capsys.readouterr().out
 
-        with open_store(str(cache_a)) as source:
+        with TieredHomStore(str(cache_a)) as source:
             source_counts = source.counts_len()
-        with open_store(str(merged)) as store:
+        with TieredHomStore(str(merged)) as store:
             info = store.info()
             assert info["schema_version"] == 3
             assert info["shards"] == 4
